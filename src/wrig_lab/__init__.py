@@ -17,7 +17,6 @@ from .bipartization import (
 from .core import (
     Coloring,
     RepresentationMatrix,
-    SetSystemView,
     WeightedIntersectionGraph,
     build_graph,
     cut_weight,
@@ -63,7 +62,6 @@ __all__ = [
     "ModelParams",
     "RepresentationMatrix",
     "Seed",
-    "SetSystemView",
     "SummaryStats",
     "TrialRecord",
     "VertexLabelSequence",

@@ -62,27 +62,6 @@ class RepresentationMatrix:
         """Sum of the diagonal of R^T R, i.e. the number of ones in R."""
         return sum(len(L) for L in self.label_sets)
 
-    def as_set_system(self) -> "SetSystemView":
-        return SetSystemView(self)
-
-
-class SetSystemView:
-    """Read-only view of a representation matrix as a family of vertex sets."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: RepresentationMatrix):
-        self.matrix = matrix
-
-    def __len__(self) -> int:
-        return self.matrix.m
-
-    def __getitem__(self, label: int) -> tuple[int, ...]:
-        return self.matrix.label_sets[label]
-
-    def __iter__(self):
-        return iter(self.matrix.label_sets)
-
 
 @dataclass(frozen=True)
 class WeightedIntersectionGraph:

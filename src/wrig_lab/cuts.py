@@ -1,23 +1,29 @@
 """Randomized cut heuristics and exact exponential oracles.
 
-The two heuristics (uniform random cut, majority cut) are cheap and seeded;
-the two oracles enumerate all 2^(n-1) bipartitions with x_0 fixed to +1
-(negating a coloring never changes a cut weight) and are capped at a vertex
-count where a desk run still finishes in seconds.
+The two heuristics (uniform random cut, majority cut) are cheap and seeded.
+The two oracles share one meet-in-the-middle enumeration of all 2^(n-1)
+bipartitions with x_0 fixed to +1 (negating a coloring never changes a cut
+weight or a discrepancy) and are capped at a vertex count where a desk run
+still finishes in seconds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable
+
+import numpy as np
 
 from .core import Coloring, RepresentationMatrix, cut_weight
 from .sampling import Seed, derive_rng
 
 DEFAULT_BRUTE_FORCE_CAP = 24
 
-PROCESSING_ORDERS = ("identity", "shuffled")
+# Scores the oracles evaluate per block.  A block's temporaries hold m int64
+# per score, so 2^11 keeps them near half a MiB at m = 16; larger blocks
+# raise the peak memory of every trial and are no faster.
+_BLOCK_SCORES = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -25,34 +31,23 @@ class MajorityConfig:
     """Knobs of the majority heuristic.
 
     ``epsilon`` is the fraction of vertices colored uniformly at random
-    before the greedy sweep starts (at 1.0 the whole coloring is random);
-    ``order`` selects the processing order: the natural vertex order or a
-    seeded shuffle.
+    before the greedy sweep starts (at 1.0 the whole coloring is random).
     """
 
     epsilon: float = 0.0
-    order: str = "identity"
-    record_trace: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
-        if self.order not in PROCESSING_ORDERS:
-            raise ValueError(f"order must be one of {PROCESSING_ORDERS}")
 
 
 @dataclass(frozen=True)
 class CutResult:
-    """A coloring, its cut weight, and which algorithm produced it.
-
-    ``trace`` optionally holds the running incident-weight score each greedy
-    step of the majority heuristic saw before deciding a color.
-    """
+    """A coloring, its cut weight, and which algorithm produced it."""
 
     coloring: Coloring
     weight: int
     algorithm: str
-    trace: Optional[tuple[int, ...]] = None
 
 
 def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
@@ -74,38 +69,26 @@ def majority_cut(R: RepresentationMatrix, cfg: MajorityConfig, seed: Seed) -> Cu
     """
     rng = derive_rng(seed)
     n = R.n
-    if cfg.order == "shuffled":
-        order = rng.permutation(n).tolist()
-    else:
-        order = range(n)
     prefix = math.floor(cfg.epsilon * n + 1e-9)
     random_colors = (rng.integers(0, 2, size=prefix) * 2 - 1).tolist() if prefix else []
 
     signs = [0] * n
     label_sums = [0] * R.m
-    trace: Optional[list[int]] = [] if cfg.record_trace else None
     vertex_sets = R.vertex_sets
-    for t, v in enumerate(order):
-        if t < prefix:
-            xv = random_colors[t]
+    for v in range(n):
+        if v < prefix:
+            xv = random_colors[v]
         else:
             z = 0
             for l in vertex_sets[v]:
                 z += label_sums[l]
             xv = -1 if z >= 0 else 1
-            if trace is not None:
-                trace.append(z)
         signs[v] = xv
         for l in vertex_sets[v]:
             label_sums[l] += xv
 
     x = Coloring(tuple(signs))
-    return CutResult(
-        coloring=x,
-        weight=cut_weight(R, x),
-        algorithm="majority",
-        trace=tuple(trace) if trace is not None else None,
-    )
+    return CutResult(coloring=x, weight=cut_weight(R, x), algorithm="majority")
 
 
 def beta_lower_bound(c: float) -> float:
@@ -131,81 +114,77 @@ def _coloring_from_mask(mask: int, n: int) -> Coloring:
     return Coloring(tuple(1 if (mask >> (n - 1 - v)) & 1 else -1 for v in range(n)))
 
 
-def brute_force_max_cut(
-    R: RepresentationMatrix, *, cap: int = DEFAULT_BRUTE_FORCE_CAP
-) -> CutResult:
-    """Exact maximum cut by Gray-code enumeration of all colorings.
+def _half_row_sums(D: np.ndarray) -> np.ndarray:
+    """Row sums D x for every coloring x of D's columns, one row per mask."""
+    k = D.shape[1]
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return (2 * bits - 1) @ D.T
 
-    Walks the 2^(n-1) colorings with x_0 = +1 flipping one vertex at a time,
-    keeping all label color sums (and |Rx|^2) incrementally updated.  Among
-    optimal colorings the lexicographically smallest visited one is returned.
+
+def _argmin_over_colorings(
+    R: RepresentationMatrix,
+    cap: int,
+    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[int, Coloring]:
+    """Smallest score over all colorings with x_0 = +1 (meet in the middle).
+
+    The first ceil(n/2) vertices give the row-sum vectors A (x_0 = +1), the
+    rest give B, so every coloring's Rx is a + b for one row a of A and one
+    row b of B.  ``score(a_block, b)`` returns the (len(a_block), len(B))
+    scores of a block of A's rows against all of B.  Row-major flat index
+    i*len(B) + j is the coloring's mask minus 2^(n-1), so argmin within a
+    block and a strict < across blocks return the lexicographically
+    smallest optimum.  Row sums and scores are int64, hence exact.
     """
     _check_cap(R, cap)
     n = R.n
-    sums = [len(L) for L in R.label_sets]
-    normsq = sum(s * s for s in sums)
-    signs = [1] * n
-    mask = (1 << n) - 1
-    best_norm, best_mask = normsq, mask
-    vertex_sets = R.vertex_sets
-    for i in range(1, 1 << (n - 1)):
-        v = (i & -i).bit_length()  # trailing-zero count + 1: flipped vertex
-        d = -2 * signs[v]
-        signs[v] += d
-        for l in vertex_sets[v]:
-            s = sums[l]
-            normsq += d * (2 * s + d)
-            sums[l] = s + d
-        mask ^= 1 << (n - 1 - v)
-        if normsq < best_norm or (normsq == best_norm and mask < best_mask):
-            best_norm, best_mask = normsq, mask
+    D = np.zeros((R.m, n), dtype=np.int64)
+    for l, L in enumerate(R.label_sets):
+        D[l, list(L)] = 1
+    h = (n + 1) // 2
+    A = D[:, 0] + _half_row_sums(D[:, 1:h])
+    B = _half_row_sums(D[:, h:])
+    rows = max(1, _BLOCK_SCORES // len(B))
+    best, best_index = None, 0
+    for start in range(0, len(A), rows):
+        scores = score(A[start : start + rows], B)
+        i = int(scores.argmin())
+        if best is None or scores.flat[i] < best:
+            best, best_index = int(scores.flat[i]), start * len(B) + i
+    return best, _coloring_from_mask(best_index + (1 << (n - 1)), n)
 
+
+def brute_force_max_cut(
+    R: RepresentationMatrix, *, cap: int = DEFAULT_BRUTE_FORCE_CAP
+) -> CutResult:
+    """Exact maximum cut: the coloring minimising |Rx|^2 = |a|^2 + |b|^2 + 2 a.b.
+
+    Among optimal colorings the lexicographically smallest with x_0 = +1 is
+    returned.
+    """
+
+    def norm_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1) + 2 * (a @ b.T)
+
+    best_norm, coloring = _argmin_over_colorings(R, cap, norm_sq)
     quad = R.entry_sum() - best_norm
     assert quad % 4 == 0
-    return CutResult(
-        coloring=_coloring_from_mask(best_mask, n),
-        weight=quad // 4,
-        algorithm="exact",
-    )
+    return CutResult(coloring=coloring, weight=quad // 4, algorithm="exact")
 
 
 def brute_force_min_discrepancy(
     R: RepresentationMatrix, *, cap: int = DEFAULT_BRUTE_FORCE_CAP
 ) -> tuple[Coloring, int]:
-    """Exact minimum discrepancy over all colorings, same Gray-code walk.
+    """Exact minimum discrepancy: the coloring minimising max_l |a_l + b_l|.
 
-    The running maximum of |color sum| is maintained through a histogram of
-    absolute row sums; each single-vertex flip moves each affected row sum
-    by 2, so the maximum drifts by at most 2 per affected label.
+    Among optimal colorings the lexicographically smallest with x_0 = +1 is
+    returned.
     """
-    _check_cap(R, cap)
-    n = R.n
-    sums = [len(L) for L in R.label_sets]
-    counts = [0] * (n + 1)
-    for s in sums:
-        counts[s] += 1
-    curmax = max(sums, default=0)
-    signs = [1] * n
-    mask = (1 << n) - 1
-    best_disc, best_mask = curmax, mask
-    vertex_sets = R.vertex_sets
-    for i in range(1, 1 << (n - 1)):
-        v = (i & -i).bit_length()
-        d = -2 * signs[v]
-        signs[v] += d
-        for l in vertex_sets[v]:
-            a = abs(sums[l])
-            sums[l] += d
-            b = abs(sums[l])
-            counts[a] -= 1
-            counts[b] += 1
-            if b > curmax:
-                curmax = b
-            elif a == curmax and counts[curmax] == 0:
-                while curmax > 0 and counts[curmax] == 0:
-                    curmax -= 1
-        mask ^= 1 << (n - 1 - v)
-        if curmax < best_disc or (curmax == best_disc and mask < best_mask):
-            best_disc, best_mask = curmax, mask
 
-    return _coloring_from_mask(best_mask, n), best_disc
+    def disc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        sums = a[:, None] + b
+        # in place: a second block-sized temporary costs time and peak memory
+        return np.abs(sums, out=sums).max(axis=2, initial=0)
+
+    best_disc, coloring = _argmin_over_colorings(R, cap, disc)
+    return coloring, best_disc

@@ -1,9 +1,9 @@
 """Shared test utilities: independent enumeration oracles and strategies.
 
-The enumeration here deliberately avoids the library's Gray-code oracles:
-it materializes every coloring with x_0 = +1 as a matrix and evaluates
-|Rx|^2 and |Rx|_inf by plain numpy arithmetic, so library bugs cannot hide
-behind themselves.
+The enumeration here deliberately avoids the library's meet-in-the-middle
+oracles: it materializes every coloring with x_0 = +1 as a matrix and
+evaluates |Rx|^2 and |Rx|_inf by plain numpy arithmetic, so library bugs
+cannot hide behind themselves.
 """
 
 from __future__ import annotations

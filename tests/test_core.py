@@ -119,13 +119,6 @@ def test_transpose_views_agree():
             assert v in R.label_sets[l]
 
 
-def test_set_system_view():
-    view = TWO_PATH.as_set_system()
-    assert len(view) == 2
-    assert view[0] == (0, 1)
-    assert list(view) == [(0, 1), (1, 2)]
-
-
 @settings(deadline=None)
 @given(matrices_with_colorings(max_n=12, max_m=8))
 def test_cut_identity_matches_direct_sum(case):

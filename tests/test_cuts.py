@@ -10,6 +10,7 @@ from helpers import (
     oracle_max_cut_weight,
     oracle_min_discrepancy,
 )
+from wrig_lab import cuts
 from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy
 from wrig_lab.cuts import (
     MajorityConfig,
@@ -57,25 +58,20 @@ def test_random_cut_deterministic_per_seed():
 
 
 def test_majority_hand_trace():
-    res = majority_cut(TWO_PATH, MajorityConfig(record_trace=True), seed=1)
+    res = majority_cut(TWO_PATH, MajorityConfig(), seed=1)
     assert res.coloring.values == (-1, 1, -1)
     assert res.weight == 2
-    assert res.trace == (0, -1, 1)
 
 
 def test_majority_edge_free_all_minus():
-    res = majority_cut(EDGE_FREE, MajorityConfig(record_trace=True), seed=0)
+    res = majority_cut(EDGE_FREE, MajorityConfig(), seed=0)
     assert res.coloring.values == (-1, -1, -1, -1)
     assert res.weight == 0
-    assert res.trace == (0, 0, 0, 0)
 
 
-def test_majority_deterministic_and_traceless_by_default():
-    cfg = MajorityConfig(epsilon=0.5, order="shuffled")
-    a = majority_cut(WEAK_TRIANGLE, cfg, seed=9)
-    b = majority_cut(WEAK_TRIANGLE, cfg, seed=9)
-    assert a == b
-    assert a.trace is None
+def test_majority_deterministic_per_seed():
+    cfg = MajorityConfig(epsilon=0.5)
+    assert majority_cut(WEAK_TRIANGLE, cfg, seed=9) == majority_cut(WEAK_TRIANGLE, cfg, seed=9)
 
 
 def test_majority_epsilon_one_matches_random_in_distribution():
@@ -95,8 +91,6 @@ def test_majority_epsilon_one_matches_random_in_distribution():
 def test_majority_config_validation():
     with pytest.raises(ValueError):
         MajorityConfig(epsilon=1.5)
-    with pytest.raises(ValueError):
-        MajorityConfig(order="sideways")
 
 
 @settings(deadline=None, max_examples=60)
@@ -153,18 +147,26 @@ def test_cap_enforced():
         brute_force_min_discrepancy(R, cap=5)
 
 
+# The module's block size, and blocks of one row of A each, so that the
+# tie-break between optima in different blocks is exercised too.
+@pytest.mark.parametrize(
+    "block_scores", [cuts._BLOCK_SCORES, 1], ids=["module_block", "one_row_blocks"]
+)
 @settings(deadline=None, max_examples=80)
-@given(matrices(max_n=9, max_m=7))
-def test_brute_force_matches_enumeration_oracle(R):
+@given(R=matrices(max_n=9, max_m=7))
+def test_brute_force_matches_enumeration_oracle(block_scores, R):
     X, normsq, disc = enumeration_oracle(R)
-    result = brute_force_max_cut(R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "_BLOCK_SCORES", block_scores)
+        result = brute_force_max_cut(R)
+        coloring, best_disc = brute_force_min_discrepancy(R)
+
     assert result.weight == (R.entry_sum() - int(normsq.min())) // 4
     assert cut_weight(R, result.coloring) == result.weight
     # Reported coloring is the lexicographically smallest optimum (x_0 = +1).
     optima = X[normsq == normsq.min()]
     assert tuple(result.coloring.values) == min(map(tuple, optima))
 
-    coloring, best_disc = brute_force_min_discrepancy(R)
     assert best_disc == int(disc.min())
     assert discrepancy(R, coloring) == best_disc
     disc_optima = X[disc == disc.min()]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -153,6 +154,35 @@ def test_summary_file_and_ratios(tmp_path):
     payload = json.loads(summary.read_text())
     assert payload["schema"] == "wrig-lab summary 1"
     assert payload["grid"][0]["trials"] == 4
+
+
+# sha256 of the CSV written with the Gray-code oracles that preceded the
+# meet-in-the-middle ones: the exact and mindisc columns (weights and the
+# discrepancy of the chosen coloring, hence the tie-break) must not move.
+@pytest.mark.parametrize(
+    "n, m, digest",
+    [
+        (16, 16, "2e05ba102d527c54d547857b2dc788f2e06f475adae254b393f149b44b9dfd16"),
+        (15, 20, "677558446edee3b3fe1dc4917d1f0ffea4ae5c1071ac7d190bc6d719372ace09"),
+    ],
+    ids=["n16_m16", "n15_m20"],
+)
+def test_exact_oracle_csv_is_pinned(tmp_path, n, m, digest):
+    out = tmp_path / "golden.csv"
+    spec = ExperimentSpec.from_dict(
+        {
+            "regime": "fixed",
+            "n": n,
+            "m": m,
+            "p": 0.2,
+            "algorithms": ["exact", "mindisc"],
+            "trials": 200,
+            "seed": 2009,
+            "output": str(out),
+        }
+    )
+    run_experiment(spec, workers=1)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # --- summarize ---
