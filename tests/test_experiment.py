@@ -185,6 +185,39 @@ def test_exact_oracle_csv_is_pinned(tmp_path, n, m, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the random + majority CSV captured from the tuple-backed core,
+# one sparse-path and one dense-path sampler config; trials 0 and 100 are
+# audited, so the coloring text round trip runs too.
+@pytest.mark.parametrize(
+    "config, digest",
+    [
+        (
+            {"regime": "alpha-sweep", "n": 4096, "alpha": 0.5, "p_rule": "inv_sqrt_nm"},
+            "fbf43a2a06732293e3a32ec2bf1817ad5cbeec1292bf2583591668ad1954acf4",
+        ),
+        (
+            {"regime": "fixed", "n": 300, "m": 20, "p": 0.15},
+            "c8d6f47d63002c2c6fa305e51c4bb69fbd9571b811051cd261b7cc33b42d9a2a",
+        ),
+    ],
+    ids=["sparse_alpha_half", "dense_fixed"],
+)
+def test_heuristic_csv_is_pinned(tmp_path, config, digest):
+    out = tmp_path / "golden.csv"
+    spec = ExperimentSpec.from_dict(
+        dict(
+            config,
+            algorithms=["random", "majority"],
+            epsilon=0.01,
+            trials=120,
+            seed=2009,
+            output=str(out),
+        )
+    )
+    run_experiment(spec, workers=1)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # --- summarize ---
 
 
