@@ -17,10 +17,7 @@ from .bipartization import (
 from .core import (
     Coloring,
     RepresentationMatrix,
-    WeightedIntersectionGraph,
-    build_graph,
     cut_weight,
-    cut_weight_direct,
     discrepancy,
     norm_sq,
     row_sums,
@@ -65,14 +62,11 @@ __all__ = [
     "SummaryStats",
     "TrialRecord",
     "VertexLabelSequence",
-    "WeightedIntersectionGraph",
     "beta_lower_bound",
     "brute_force_max_cut",
     "brute_force_min_discrepancy",
-    "build_graph",
     "count_sequences_exact",
     "cut_weight",
-    "cut_weight_direct",
     "derive_rng",
     "derive_seed",
     "discrepancy",

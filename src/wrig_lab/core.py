@@ -1,8 +1,11 @@
-"""Representation matrices, derived weighted intersection graphs, and the
-exact integer evaluators for cut weight, squared norm, and discrepancy.
+"""Representation matrices, colorings, and the exact integer evaluators for
+cut weight, squared norm, and discrepancy.
 
-Everything in this module is immutable after construction and all evaluators
-are pure integer arithmetic: the cut identity 4*cut + |Rx|^2 == sum(R^T R)
+A representation matrix is a sparse 0/1 label-by-vertex matrix R held as
+read-only int64 CSR arrays (``indptr``, ``indices``); its CSC transpose and
+the per-label vertex tuples are derived from them on first use.  A coloring
+is a read-only int8 array of +1/-1 entries.  All evaluators are exact
+integer arithmetic in int64: the cut identity 4*cut + |Rx|^2 == sum(R^T R)
 must hold bit-exactly, so no floating point is used anywhere here.
 Vertices and labels are 0-based internally; 1-based indices appear only in
 the text formats (see ``wrig_lab.textio``).
@@ -10,93 +13,168 @@ the text formats (see ``wrig_lab.textio``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
 
-@dataclass(frozen=True)
+
+def offsets(counts: np.ndarray) -> np.ndarray:
+    """CSR-style pointers: 0 followed by the running totals of ``counts``."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.add.accumulate(counts, out=out[1:])
+    return out
+
+
+def _raise_first_fault(n: int, labels: np.ndarray, indices: np.ndarray) -> None:
+    """Name the first label whose vertices repeat, fall out of order or
+    leave [0, n); within one label a repeat is reported first."""
+    same_label = labels[1:] == labels[:-1]
+    step = np.diff(indices)
+    repeated = np.flatnonzero(same_label & (step == 0))
+    unsorted = np.flatnonzero(same_label & (step < 0))
+    outside = np.flatnonzero((indices < 0) | (indices >= n))
+    faults = []
+    if len(repeated):
+        v = indices[repeated[0]]
+        faults.append((labels[repeated[0]], 0, f"lists vertex {v} twice"))
+    if len(unsorted):
+        faults.append((labels[unsorted[0]], 1, "vertices are not sorted ascending"))
+    if len(outside):
+        faults.append((labels[outside[0]], 2, f"has a vertex outside [0, {n})"))
+    l, _, what = min(faults)
+    raise ValueError(f"label {l} {what}")
+
+
+@dataclass(frozen=True, eq=False)
 class RepresentationMatrix:
-    """Sparse 0/1 label-by-vertex matrix stored as both row and column sets.
+    """Sparse 0/1 label-by-vertex matrix in CSR form.
 
-    ``label_sets[l]`` lists the vertices that chose label ``l`` (sorted,
-    duplicate-free) and ``vertex_sets[v]`` lists the labels chosen by
-    vertex ``v``.  The two views are transposes of each other.
+    The vertices that chose label ``l`` are ``indices[indptr[l]:indptr[l+1]]``,
+    sorted and duplicate-free.  ``from_csr`` and ``from_label_sets`` validate
+    their input; the plain constructor trusts its int64 arrays and makes
+    them read-only.
     """
 
     m: int
     n: int
-    label_sets: tuple[tuple[int, ...], ...]
-    vertex_sets: tuple[tuple[int, ...], ...] = field(compare=False)
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    @classmethod
+    def from_csr(
+        cls, n: int, indptr: Sequence[int], indices: Sequence[int]
+    ) -> "RepresentationMatrix":
+        """Build and validate a matrix from CSR row pointers and vertex indices."""
+        if n < 1:
+            raise ValueError(f"vertex count must be >= 1, got {n}")
+        indptr = np.array(indptr, dtype=np.int64)
+        indices = np.array(indices, dtype=np.int64)
+        if indptr.ndim != 1 or indices.ndim != 1 or len(indptr) < 1:
+            raise ValueError("indptr and indices must be 1-d, indptr nonempty")
+        sizes = indptr[1:] - indptr[:-1]
+        if indptr[0] != 0 or indptr[-1] != len(indices) or sizes.min(initial=0) < 0:
+            raise ValueError("indptr must rise from 0 to len(indices)")
+        m = len(sizes)
+        if len(indices):
+            labels = np.repeat(np.arange(m), sizes)
+            # With every vertex in [0, n), the grid position l*n + v rises
+            # strictly exactly when each label's vertices do.
+            grid = labels * n + indices
+            if indices.min() < 0 or indices.max() >= n or not (grid[1:] > grid[:-1]).all():
+                _raise_first_fault(n, labels, indices)
+        return cls(m=m, n=n, indptr=indptr, indices=indices)
 
     @classmethod
     def from_label_sets(
         cls, n: int, label_sets: Sequence[Iterable[int]]
     ) -> "RepresentationMatrix":
         """Build and validate a matrix from per-label vertex collections."""
-        if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
-        rows: list[tuple[int, ...]] = []
-        columns: list[list[int]] = [[] for _ in range(n)]
-        for l, raw in enumerate(label_sets):
-            vertices = tuple(sorted(raw))
-            for prev, cur in zip(vertices, vertices[1:]):
-                if prev == cur:
-                    raise ValueError(f"label {l} lists vertex {cur} twice")
-            if vertices and (vertices[0] < 0 or vertices[-1] >= n):
-                raise ValueError(f"label {l} has a vertex outside [0, {n})")
-            rows.append(vertices)
-            for v in vertices:
-                columns[v].append(l)
-        return cls(
-            m=len(rows),
-            n=n,
-            label_sets=tuple(rows),
-            vertex_sets=tuple(tuple(c) for c in columns),
+        rows = [sorted(raw) for raw in label_sets]
+        indptr = offsets(np.array([len(r) for r in rows], dtype=np.int64))
+        flat = [v for r in rows for v in r]
+        return cls.from_csr(n, indptr, np.array(flat, dtype=np.int64))
+
+    @cached_property
+    def csc(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column view ``(colptr, labels)``: vertex v chose the labels
+        ``labels[colptr[v]:colptr[v+1]]``, in ascending order."""
+        colptr = offsets(np.bincount(self.indices, minlength=self.n))
+        rows = np.repeat(np.arange(self.m, dtype=np.int64), self.sizes)
+        # Column-major grid positions v*m + l are distinct, so one plain sort
+        # orders the entries by vertex, then by label.
+        labels = np.sort(self.indices * self.m + rows) % self.m
+        colptr.flags.writeable = labels.flags.writeable = False
+        return colptr, labels
+
+    @cached_property
+    def label_sets(self) -> tuple[tuple[int, ...], ...]:
+        """Per-label sorted vertex tuples, derived from the CSR arrays."""
+        flat = self.indices.tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RepresentationMatrix):
+            return NotImplemented
+        return (
+            self.m == other.m
+            and self.n == other.n
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.indptr.tobytes(), self.indices.tobytes()))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """Number of vertices per label."""
+        return self.indptr[1:] - self.indptr[:-1]
 
     def entry_sum(self) -> int:
         """Sum of all entries of R^T R (diagonal included): sum of |L_l|^2."""
-        return sum(len(L) ** 2 for L in self.label_sets)
+        return int(self.sizes @ self.sizes)
 
     def diagonal_sum(self) -> int:
         """Sum of the diagonal of R^T R, i.e. the number of ones in R."""
-        return sum(len(L) for L in self.label_sets)
+        return int(self.indptr[-1])
 
 
-@dataclass(frozen=True)
-class WeightedIntersectionGraph:
-    """Weighted simple graph with w(u,v) = number of labels shared by u, v.
-
-    Only pairs with at least one common label are stored; the diagonal of
-    R^T R never appears here (it cancels in every cut weight) but remains
-    recoverable from the matrix's vertex sets.
-    """
-
-    n: int
-    edges: tuple[tuple[int, int, int], ...]
-    total_offdiag: int
-
-    def __post_init__(self):
-        if self.total_offdiag != 2 * sum(w for _, _, w in self.edges):
-            raise ValueError("total_offdiag does not match stored edge weights")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Coloring:
-    """A 2-coloring of the vertices: one value in {-1, +1} per vertex."""
+    """A 2-coloring of the vertices: a read-only int8 array of +1/-1 values."""
 
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        for x in self.values:
-            if x != 1 and x != -1:
-                raise ValueError(f"coloring entries must be +1 or -1, got {x}")
+        raw = np.asarray(self.values)
+        ok = (raw == 1) | (raw == -1)
+        if not ok.all():
+            bad = raw[~ok][0]
+            raise ValueError(f"coloring entries must be +1 or -1, got {bad}")
+        values = raw.astype(np.int8)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.values)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Coloring):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    def __hash__(self) -> int:
+        return hash(self.values.tobytes())
+
     def negated(self) -> "Coloring":
-        return Coloring(tuple(-x for x in self.values))
+        return Coloring(-self.values)
 
 
 def _check_length(R: RepresentationMatrix, x: Coloring) -> None:
@@ -104,30 +182,17 @@ def _check_length(R: RepresentationMatrix, x: Coloring) -> None:
         raise ValueError(f"coloring has length {len(x)}, expected {R.n}")
 
 
-def row_sums(R: RepresentationMatrix, x: Coloring) -> list[int]:
-    """Per-label signed color sums: (Rx)_l = sum of x_v over v in L_l."""
+def row_sums(R: RepresentationMatrix, x: Coloring) -> np.ndarray:
+    """Per-label signed color sums: (Rx)_l = sum of x_v over v in L_l (int64)."""
     _check_length(R, x)
-    vals = x.values
-    return [sum(vals[v] for v in L) for L in R.label_sets]
-
-
-def build_graph(R: RepresentationMatrix) -> WeightedIntersectionGraph:
-    """Derive the weighted intersection graph whose weights count shared labels."""
-    weights: dict[tuple[int, int], int] = {}
-    for L in R.label_sets:
-        for i, u in enumerate(L):
-            for v in L[i + 1 :]:
-                key = (u, v)
-                weights[key] = weights.get(key, 0) + 1
-    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return WeightedIntersectionGraph(
-        n=R.n, edges=edges, total_offdiag=2 * sum(weights.values())
-    )
+    prefix = offsets(x.values[R.indices])[R.indptr]
+    return prefix[1:] - prefix[:-1]
 
 
 def norm_sq(R: RepresentationMatrix, x: Coloring) -> int:
     """Squared 2-norm |Rx|^2 = sum over labels of the squared color sum."""
-    return sum(s * s for s in row_sums(R, x))
+    sums = row_sums(R, x)
+    return int(sums @ sums)
 
 
 def cut_weight(R: RepresentationMatrix, x: Coloring) -> int:
@@ -141,18 +206,9 @@ def cut_weight(R: RepresentationMatrix, x: Coloring) -> int:
     return quad // 4
 
 
-def cut_weight_direct(G: WeightedIntersectionGraph, x: Coloring) -> int:
-    """Weight of the cut induced by ``x``, by summing crossing edges."""
-    if len(x) != G.n:
-        raise ValueError(f"coloring has length {len(x)}, expected {G.n}")
-    vals = x.values
-    return sum(w for u, v, w in G.edges if vals[u] != vals[v])
-
-
 def discrepancy(R: RepresentationMatrix, x: Coloring) -> int:
     """Largest absolute color imbalance over all label sets, |Rx|_inf.
 
     Zero when the matrix has no labels.
     """
-    sums = row_sums(R, x)
-    return max((abs(s) for s in sums), default=0)
+    return int(np.abs(row_sums(R, x)).max(initial=0))

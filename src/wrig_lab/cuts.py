@@ -53,8 +53,7 @@ class CutResult:
 def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
     """Color every vertex independently and equiprobably, then score the cut."""
     rng = derive_rng(seed)
-    vals = rng.integers(0, 2, size=R.n) * 2 - 1
-    x = Coloring(tuple(int(v) for v in vals))
+    x = Coloring(rng.integers(0, 2, size=R.n) * 2 - 1)
     return CutResult(coloring=x, weight=cut_weight(R, x), algorithm="random")
 
 
@@ -65,29 +64,36 @@ def majority_cut(R: RepresentationMatrix, cfg: MajorityConfig, seed: Seed) -> Cu
     color opposing the signed weight of its already-colored neighborhood,
     z = sum over colored u of |S_u cap S_v| * x_u, with ties (z == 0) going
     to -1.  z is accumulated through per-label color sums, so one step costs
-    O(|S_v|) after the label bookkeeping.
+    O(|S_v|) after the label bookkeeping.  Only vertices with labels need
+    the sweep: every other vertex keeps its prefix color, or gets -1 (z = 0).
     """
     rng = derive_rng(seed)
     n = R.n
     prefix = math.floor(cfg.epsilon * n + 1e-9)
-    random_colors = (rng.integers(0, 2, size=prefix) * 2 - 1).tolist() if prefix else []
+    signs = np.full(n, -1, dtype=np.int8)
+    if prefix:
+        signs[:prefix] = rng.integers(0, 2, size=prefix) * 2 - 1
 
-    signs = [0] * n
+    colptr, labels = R.csc
+    labelled = np.flatnonzero(np.diff(colptr))
+    starts = colptr[labelled].tolist()
+    ends = colptr[labelled + 1].tolist()
+    flat = labels.tolist()
     label_sums = [0] * R.m
-    vertex_sets = R.vertex_sets
-    for v in range(n):
-        if v < prefix:
-            xv = random_colors[v]
-        else:
+    colors = signs[labelled].tolist()
+    for i, (v, start, end) in enumerate(zip(labelled.tolist(), starts, ends)):
+        vertex_labels = flat[start:end]
+        if v >= prefix:
             z = 0
-            for l in vertex_sets[v]:
+            for l in vertex_labels:
                 z += label_sums[l]
-            xv = -1 if z >= 0 else 1
-        signs[v] = xv
-        for l in vertex_sets[v]:
+            colors[i] = -1 if z >= 0 else 1
+        xv = colors[i]
+        for l in vertex_labels:
             label_sums[l] += xv
+    signs[labelled] = colors
 
-    x = Coloring(tuple(signs))
+    x = Coloring(signs)
     return CutResult(coloring=x, weight=cut_weight(R, x), algorithm="majority")
 
 
@@ -111,7 +117,8 @@ def _check_cap(R: RepresentationMatrix, cap: int) -> None:
 def _coloring_from_mask(mask: int, n: int) -> Coloring:
     # Bit (n-1-v) encodes x_v (+1 when set), so integer order on masks is
     # lexicographic order on colorings with -1 sorting first.
-    return Coloring(tuple(1 if (mask >> (n - 1 - v)) & 1 else -1 for v in range(n)))
+    bits = (mask >> np.arange(n - 1, -1, -1)) & 1
+    return Coloring(2 * bits - 1)
 
 
 def _half_row_sums(D: np.ndarray) -> np.ndarray:
@@ -124,14 +131,15 @@ def _half_row_sums(D: np.ndarray) -> np.ndarray:
 def _argmin_over_colorings(
     R: RepresentationMatrix,
     cap: int,
-    score: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    scorer: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
 ) -> tuple[int, Coloring]:
     """Smallest score over all colorings with x_0 = +1 (meet in the middle).
 
     The first ceil(n/2) vertices give the row-sum vectors A (x_0 = +1), the
     rest give B, so every coloring's Rx is a + b for one row a of A and one
-    row b of B.  ``score(a_block, b)`` returns the (len(a_block), len(B))
-    scores of a block of A's rows against all of B.  Row-major flat index
+    row b of B.  ``scorer(B)`` returns a function mapping a block of A's
+    rows to their (len(block), len(B)) scores against all of B, so work
+    that depends on B alone is done once.  Row-major flat index
     i*len(B) + j is the coloring's mask minus 2^(n-1), so argmin within a
     block and a strict < across blocks return the lexicographically
     smallest optimum.  Row sums and scores are int64, hence exact.
@@ -139,15 +147,15 @@ def _argmin_over_colorings(
     _check_cap(R, cap)
     n = R.n
     D = np.zeros((R.m, n), dtype=np.int64)
-    for l, L in enumerate(R.label_sets):
-        D[l, list(L)] = 1
+    D[np.repeat(np.arange(R.m), R.sizes), R.indices] = 1
     h = (n + 1) // 2
     A = D[:, 0] + _half_row_sums(D[:, 1:h])
     B = _half_row_sums(D[:, h:])
+    score = scorer(B)
     rows = max(1, _BLOCK_SCORES // len(B))
     best, best_index = None, 0
     for start in range(0, len(A), rows):
-        scores = score(A[start : start + rows], B)
+        scores = score(A[start : start + rows])
         i = int(scores.argmin())
         if best is None or scores.flat[i] < best:
             best, best_index = int(scores.flat[i]), start * len(B) + i
@@ -163,8 +171,9 @@ def brute_force_max_cut(
     returned.
     """
 
-    def norm_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return (a * a).sum(axis=1)[:, None] + (b * b).sum(axis=1) + 2 * (a @ b.T)
+    def norm_sq(B: np.ndarray):
+        b_sq = (B * B).sum(axis=1)
+        return lambda a: (a * a).sum(axis=1)[:, None] + b_sq + 2 * (a @ B.T)
 
     best_norm, coloring = _argmin_over_colorings(R, cap, norm_sq)
     quad = R.entry_sum() - best_norm
@@ -181,10 +190,13 @@ def brute_force_min_discrepancy(
     returned.
     """
 
-    def disc(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sums = a[:, None] + b
-        # in place: a second block-sized temporary costs time and peak memory
-        return np.abs(sums, out=sums).max(axis=2, initial=0)
+    def disc(B: np.ndarray):
+        def score(a: np.ndarray) -> np.ndarray:
+            sums = a[:, None] + B
+            # in place: a second block-sized temporary costs time and peak memory
+            return np.abs(sums, out=sums).max(axis=2, initial=0)
+
+        return score
 
     best_disc, coloring = _argmin_over_colorings(R, cap, disc)
     return coloring, best_disc

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RepresentationMatrix
+from .core import RepresentationMatrix, offsets
 
 # Seeds are 64-bit unsigned values; derived streams are addressed by
 # (seed, *stream) tuples.
@@ -24,6 +24,10 @@ Seed = int
 # Below this success probability the sampler walks the entry grid with
 # geometric skips instead of drawing one uniform per cell.
 _SPARSE_THRESHOLD = 0.1
+
+# The dense path draws its uniforms in whole rows, about this many cells at
+# a time; Philox yields the same stream whatever the split.
+_DENSE_CHUNK_CELLS = 1 << 16
 
 
 def derive_rng(seed: Seed, *stream: int) -> np.random.Generator:
@@ -126,14 +130,22 @@ def sample_matrix(params: ModelParams, seed: Seed) -> RepresentationMatrix:
 
 
 def _sample_dense(params: ModelParams, rng: np.random.Generator) -> RepresentationMatrix:
-    hits = rng.random((params.m, params.n)) < params.p
-    label_sets = [np.nonzero(row)[0].tolist() for row in hits]
-    return RepresentationMatrix.from_label_sets(params.n, label_sets)
+    m, n, p = params.m, params.n, params.p
+    rows = max(1, _DENSE_CHUNK_CELLS // n)
+    counts, indices = [], []
+    for start in range(0, m, rows):
+        hits = rng.random((min(rows, m - start), n)) < p
+        counts.append(hits.sum(axis=1))
+        indices.append(np.nonzero(hits)[1])
+    # nonzero walks the chunk row-major, so each label's vertices are sorted.
+    return RepresentationMatrix(
+        m=m, n=n, indptr=offsets(np.concatenate(counts)), indices=np.concatenate(indices)
+    )
 
 
 def _sample_sparse(params: ModelParams, rng: np.random.Generator) -> RepresentationMatrix:
     m, n, p = params.m, params.n, params.p
-    label_sets: list[list[int]] = [[] for _ in range(m)]
+    chunks = [np.zeros(0, dtype=np.int64)]
     if p > 0.0:
         total = m * n
         expected = total * p
@@ -143,10 +155,13 @@ def _sample_sparse(params: ModelParams, rng: np.random.Generator) -> Representat
             gaps = rng.geometric(p, size=batch)
             positions = pos + np.cumsum(gaps)
             inside = positions[positions < total]
-            for q in inside.tolist():
-                label_sets[q // n].append(q % n)
+            chunks.append(inside)
             if len(inside) < len(positions):
                 break
             pos = int(positions[-1])
             batch = 256
-    return RepresentationMatrix.from_label_sets(n, label_sets)
+    # Positions rise strictly, so each label's vertices come out sorted.
+    q = np.concatenate(chunks)
+    return RepresentationMatrix(
+        m=m, n=n, indptr=offsets(np.bincount(q // n, minlength=m)), indices=q % n
+    )

@@ -16,10 +16,13 @@ import io
 from pathlib import Path
 from typing import Union
 
+import numpy as np
+
 from .core import Coloring, RepresentationMatrix
 
 MAGIC = "WRIG"
 FORMAT_VERSION = 1
+_COLORING_TOKENS = ("+1", "-1")
 
 PathLike = Union[str, Path]
 
@@ -83,21 +86,41 @@ def read_matrix(path: PathLike) -> RepresentationMatrix:
 
 
 def format_coloring(x: Coloring) -> str:
-    return " ".join("+1" if v == 1 else "-1" for v in x.values) + "\n"
+    if not len(x):
+        return "\n"
+    # Three bytes per vertex: sign, "1", then a space, or the final newline.
+    out = np.empty((len(x), 3), dtype=np.uint8)
+    out[:, 0] = np.where(x.values == 1, ord("+"), ord("-"))
+    out[:, 1] = ord("1")
+    out[:, 2] = ord(" ")
+    out[-1, 2] = ord("\n")
+    return out.tobytes().decode("ascii")
 
 
 def parse_coloring(text: str) -> Coloring:
-    values = []
-    for token in text.split():
-        if token == "+1":
-            values.append(1)
-        elif token == "-1":
-            values.append(-1)
-        else:
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    if not _is_canonical(data):
+        tokens = text.split()
+        if not set(tokens) <= set(_COLORING_TOKENS):
+            token = next(t for t in tokens if t not in _COLORING_TOKENS)
             raise ValueError(f"coloring token must be +1 or -1, got {token!r}")
-    if not values:
-        raise ValueError("empty coloring file")
-    return Coloring(tuple(values))
+        if not tokens:
+            raise ValueError("empty coloring file")
+        data = np.frombuffer((" ".join(tokens) + "\n").encode("ascii"), dtype=np.uint8)
+    return Coloring(np.where(data[::3] == ord("+"), 1, -1))
+
+
+def _is_canonical(data: np.ndarray) -> bool:
+    """True when ``data`` reads exactly as ``format_coloring`` writes."""
+    if len(data) == 0 or len(data) % 3:
+        return False
+    signs = data[::3]
+    return bool(
+        ((signs == ord("+")) | (signs == ord("-"))).all()
+        and (data[1::3] == ord("1")).all()
+        and (data[2:-1:3] == ord(" ")).all()
+        and data[-1] == ord("\n")
+    )
 
 
 def write_coloring(x: Coloring, path: PathLike) -> None:

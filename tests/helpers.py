@@ -1,17 +1,89 @@
-"""Shared test utilities: independent enumeration oracles and strategies.
+"""Shared test utilities: independent oracles, reference loops and strategies.
 
 The enumeration here deliberately avoids the library's meet-in-the-middle
 oracles: it materializes every coloring with x_0 = +1 as a matrix and
 evaluates |Rx|^2 and |Rx|_inf by plain numpy arithmetic, so library bugs
-cannot hide behind themselves.
+cannot hide behind themselves.  Likewise the weighted intersection graph
+scores a cut by summing crossing edges instead of the norm identity, and
+the majority reference visits every vertex in plain Python.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from hypothesis import strategies as st
 
 from wrig_lab.core import Coloring, RepresentationMatrix
+from wrig_lab.sampling import Seed, derive_rng
+
+
+@dataclass(frozen=True)
+class WeightedIntersectionGraph:
+    """Weighted simple graph with w(u,v) = number of labels shared by u, v.
+
+    Only pairs with at least one common label are stored; the diagonal of
+    R^T R never appears here (it cancels in every cut weight).
+    """
+
+    n: int
+    edges: tuple[tuple[int, int, int], ...]
+    total_offdiag: int
+
+    def __post_init__(self):
+        if self.total_offdiag != 2 * sum(w for _, _, w in self.edges):
+            raise ValueError("total_offdiag does not match stored edge weights")
+
+
+def build_graph(R: RepresentationMatrix) -> WeightedIntersectionGraph:
+    """Derive the weighted intersection graph whose weights count shared labels."""
+    weights: dict[tuple[int, int], int] = {}
+    for L in R.label_sets:
+        for i, u in enumerate(L):
+            for v in L[i + 1 :]:
+                key = (u, v)
+                weights[key] = weights.get(key, 0) + 1
+    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
+    return WeightedIntersectionGraph(
+        n=R.n, edges=edges, total_offdiag=2 * sum(weights.values())
+    )
+
+
+def cut_weight_direct(G: WeightedIntersectionGraph, x: Coloring) -> int:
+    """Weight of the cut induced by ``x``, by summing crossing edges."""
+    if len(x) != G.n:
+        raise ValueError(f"coloring has length {len(x)}, expected {G.n}")
+    vals = x.values.tolist()
+    return sum(w for u, v, w in G.edges if vals[u] != vals[v])
+
+
+def majority_reference(R: RepresentationMatrix, epsilon: float, seed: Seed) -> tuple[int, ...]:
+    """Majority coloring by a plain loop over every vertex, labelled or not.
+
+    Same random prefix draw and tie rule as ``wrig_lab.cuts.majority_cut``.
+    """
+    rng = derive_rng(seed)
+    n = R.n
+    prefix = math.floor(epsilon * n + 1e-9)
+    random_colors = (rng.integers(0, 2, size=prefix) * 2 - 1).tolist() if prefix else []
+    vertex_sets: list[list[int]] = [[] for _ in range(n)]
+    for l, L in enumerate(R.label_sets):
+        for v in L:
+            vertex_sets[v].append(l)
+    signs = [0] * n
+    label_sums = [0] * R.m
+    for v in range(n):
+        if v < prefix:
+            xv = random_colors[v]
+        else:
+            z = sum(label_sums[l] for l in vertex_sets[v])
+            xv = -1 if z >= 0 else 1
+        signs[v] = xv
+        for l in vertex_sets[v]:
+            label_sums[l] += xv
+    return tuple(signs)
 
 
 def dense_matrix(R: RepresentationMatrix) -> np.ndarray:

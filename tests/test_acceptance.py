@@ -10,21 +10,14 @@ import time
 
 import numpy as np
 
-from helpers import enumeration_oracle
+from helpers import build_graph, cut_weight_direct, enumeration_oracle
 from wrig_lab.bipartization import (
     count_sequences_exact,
     expected_sequence_count,
     extract_coloring,
     weak_bipartization,
 )
-from wrig_lab.core import (
-    Coloring,
-    build_graph,
-    cut_weight,
-    cut_weight_direct,
-    discrepancy,
-    norm_sq,
-)
+from wrig_lab.core import Coloring, cut_weight, discrepancy, norm_sq
 from wrig_lab.cuts import (
     beta_lower_bound,
     brute_force_max_cut,

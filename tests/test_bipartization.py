@@ -224,7 +224,7 @@ def test_extracted_coloring_balances_single_strong_label():
 
 def test_extracted_coloring_edge_free_all_plus():
     out = weak_bipartization(EDGE_FREE, seed=0)
-    assert extract_coloring(out).values == (1, 1, 1, 1)
+    assert tuple(extract_coloring(out).values) == (1, 1, 1, 1)
 
 
 def _assert_h_bipartite(state):

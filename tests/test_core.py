@@ -1,14 +1,17 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from helpers import matrices_with_colorings
+from helpers import (
+    WeightedIntersectionGraph,
+    build_graph,
+    cut_weight_direct,
+    matrices_with_colorings,
+)
 from wrig_lab.core import (
     Coloring,
     RepresentationMatrix,
-    WeightedIntersectionGraph,
-    build_graph,
     cut_weight,
-    cut_weight_direct,
     discrepancy,
     norm_sq,
     row_sums,
@@ -108,13 +111,68 @@ def test_constructor_validation():
         WeightedIntersectionGraph(n=2, edges=((0, 1, 2),), total_offdiag=3)
 
 
+@pytest.mark.parametrize(
+    "indptr, indices, message",
+    [
+        ([0, 1, 3], [0, 2, 3], r"^label 1 has a vertex outside \[0, 3\)$"),
+        ([0, 1], [-1], r"^label 0 has a vertex outside \[0, 3\)$"),
+        ([0, 1, 3], [2, 1, 1], r"^label 1 lists vertex 1 twice$"),
+        ([0, 3, 3], [0, 2, 1], r"^label 0 vertices are not sorted ascending$"),
+        # a repeat in label 0 outranks a later range fault
+        ([0, 2, 3], [1, 1, 5], r"^label 0 lists vertex 1 twice$"),
+    ],
+    ids=["out_of_range", "negative", "duplicate", "unsorted", "first_label_wins"],
+)
+def test_from_csr_rejects_bad_vertices(indptr, indices, message):
+    with pytest.raises(ValueError, match=message):
+        RepresentationMatrix.from_csr(3, indptr, indices)
+
+
+@pytest.mark.parametrize(
+    "indptr, indices",
+    [([1, 2], [0]), ([0, 2], [0]), ([0, 2, 1], [0, 1]), ([], [])],
+    ids=["nonzero_start", "wrong_end", "decreasing", "empty_indptr"],
+)
+def test_from_csr_rejects_bad_pointers(indptr, indices):
+    with pytest.raises(ValueError):
+        RepresentationMatrix.from_csr(3, indptr, indices)
+
+
+def test_from_csr_matches_from_label_sets_and_is_read_only():
+    R = RepresentationMatrix.from_csr(5, [0, 3, 5, 5, 6], [0, 2, 4, 1, 2, 4])
+    assert R == RepresentationMatrix.from_label_sets(5, [[4, 0, 2], {1, 2}, [], [4]])
+    assert (R.m, R.n, R.entry_sum(), R.diagonal_sum()) == (4, 5, 14, 6)
+    assert hash(R) == hash(RepresentationMatrix.from_label_sets(5, R.label_sets))
+    with pytest.raises(ValueError):
+        R.indices[0] = 1
+    with pytest.raises(ValueError):
+        R.csc[1][0] = 1
+
+
+@pytest.mark.parametrize("bad", [0, 2])
+def test_coloring_rejects_values_other_than_plus_minus_one(bad):
+    with pytest.raises(ValueError, match=rf"^coloring entries must be \+1 or -1, got {bad}$"):
+        Coloring((1, -1, bad, 1))
+
+
+def test_coloring_is_a_read_only_int8_array():
+    x = Coloring((1, -1, 1))
+    assert x.values.dtype == np.int8
+    assert x == Coloring(np.array([1, -1, 1])) != x.negated()
+    with pytest.raises(ValueError):
+        x.values[0] = -1
+
+
 def test_transpose_views_agree():
     R = RepresentationMatrix.from_label_sets(5, [[0, 2, 4], [1, 2], [], [4]])
-    assert sum(len(L) for L in R.label_sets) == sum(len(S) for S in R.vertex_sets)
+    colptr, labels = R.csc
+    vertex_sets = [labels[colptr[v] : colptr[v + 1]].tolist() for v in range(R.n)]
+    assert vertex_sets == [[0], [1], [0, 1], [], [0, 3]]
+    assert R.label_sets == ((0, 2, 4), (1, 2), (), (4,))
     for l, L in enumerate(R.label_sets):
         for v in L:
-            assert l in R.vertex_sets[v]
-    for v, S in enumerate(R.vertex_sets):
+            assert l in vertex_sets[v]
+    for v, S in enumerate(vertex_sets):
         for l in S:
             assert v in R.label_sets[l]
 

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     enumeration_oracle,
+    majority_reference,
     matrices,
     oracle_max_cut_weight,
     oracle_min_discrepancy,
@@ -59,13 +61,13 @@ def test_random_cut_deterministic_per_seed():
 
 def test_majority_hand_trace():
     res = majority_cut(TWO_PATH, MajorityConfig(), seed=1)
-    assert res.coloring.values == (-1, 1, -1)
+    assert tuple(res.coloring.values) == (-1, 1, -1)
     assert res.weight == 2
 
 
 def test_majority_edge_free_all_minus():
     res = majority_cut(EDGE_FREE, MajorityConfig(), seed=0)
-    assert res.coloring.values == (-1, -1, -1, -1)
+    assert tuple(res.coloring.values) == (-1, -1, -1, -1)
     assert res.weight == 0
 
 
@@ -86,6 +88,26 @@ def test_majority_epsilon_one_matches_random_in_distribution():
     rnd = np.array([random_cut(R, s + n_seeds).weight for s in range(n_seeds)], dtype=float)
     se = math.sqrt(maj.var(ddof=1) / n_seeds + rnd.var(ddof=1) / n_seeds)
     assert abs(maj.mean() - rnd.mean()) <= 4 * se
+
+
+def test_majority_skips_unlabelled_vertices_like_the_full_loop():
+    # Vertices 1 and 3 lie inside the random prefix of 4, vertices 6, 9 and
+    # 10 past it; none of them has a label.
+    R = RepresentationMatrix.from_label_sets(
+        11, [[0, 2, 5], [2, 4, 7], [5, 8], [0, 4, 8]]
+    )
+    assert [v for v in range(R.n) if not any(v in L for L in R.label_sets)] == [1, 3, 6, 9, 10]
+    cfg = MajorityConfig(epsilon=4 / 11)
+    for seed in range(40):
+        res = majority_cut(R, cfg, seed)
+        assert tuple(res.coloring.values) == majority_reference(R, cfg.epsilon, seed)
+
+
+@settings(deadline=None, max_examples=80)
+@given(matrices(max_n=12, max_m=8), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
+def test_majority_matches_the_full_loop(R, epsilon):
+    res = majority_cut(R, MajorityConfig(epsilon=epsilon), 17)
+    assert tuple(res.coloring.values) == majority_reference(R, epsilon, 17)
 
 
 def test_majority_config_validation():

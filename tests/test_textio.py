@@ -72,7 +72,36 @@ def test_coloring_roundtrip(tmp_path):
     assert parse_coloring(path.read_text()) == x
 
 
-@pytest.mark.parametrize("text", ["", "1 -1", "+1 0", "plus one"])
-def test_parse_coloring_rejects(text):
-    with pytest.raises(ValueError):
+COLORING_REJECTS = [
+    ("", "^empty coloring file$"),
+    ("1 -1", "^coloring token must be \\+1 or -1, got '1'$"),
+    ("+1 0", "^coloring token must be \\+1 or -1, got '0'$"),
+    ("plus one", "^coloring token must be \\+1 or -1, got 'plus'$"),
+    (" \n\t", "^empty coloring file$"),
+    ("+1 -1 +2\n", "^coloring token must be \\+1 or -1, got '\\+2'$"),
+    ("+1 \u22121\n", "^coloring token must be \\+1 or -1, got '\u22121'$"),
+]
+
+
+@pytest.mark.parametrize(
+    "text, message", COLORING_REJECTS, ids=[text for text, _ in COLORING_REJECTS]
+)
+def test_parse_coloring_rejects(text, message):
+    with pytest.raises(ValueError, match=message):
         parse_coloring(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["+1 -1 -1 +1", "+1\n-1\n-1\n+1\n", "  +1\t-1  -1\r\n+1 \n\n", "+1\u3000-1 -1 +1\n"],
+    ids=["no_newline", "one_per_line", "mixed_ascii_space", "unicode_space"],
+)
+def test_parse_coloring_accepts_any_whitespace(text):
+    assert parse_coloring(text) == Coloring((1, -1, -1, 1))
+
+
+def test_format_coloring_of_many_vertices_matches_token_join():
+    values = [1 if (v * v) % 7 < 3 else -1 for v in range(1000)]
+    text = format_coloring(Coloring(values))
+    assert text == " ".join("+1" if v == 1 else "-1" for v in values) + "\n"
+    assert tuple(parse_coloring(text).values) == tuple(values)
