@@ -218,6 +218,33 @@ def test_heuristic_csv_is_pinned(tmp_path, config, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the CSV of all five algorithms, captured before the trial loop
+# and the CLI shared one dispatch: trials 0 and 100 are audited, and at
+# c = 2 some bipartize runs exhaust the re-match budget, so the empty
+# bipartize_weight/_disc cells are pinned too.
+def test_all_algorithms_csv_is_pinned(tmp_path):
+    out = tmp_path / "golden.csv"
+    spec = ExperimentSpec.from_dict(
+        {
+            "regime": "c-sweep",
+            "n": 16,
+            "c": [0.75, 2.0],
+            "algorithms": ["random", "majority", "exact", "mindisc", "bipartize"],
+            "epsilon": 0.01,
+            "max_rematch": 10,
+            "trials": 120,
+            "seed": 2009,
+            "output": str(out),
+        }
+    )
+    records, _ = run_experiment(spec, workers=1)
+    assert sum(r.bipartize_terminated is False for r in records) == 18
+    assert (
+        hashlib.sha256(out.read_bytes()).hexdigest()
+        == "76bf45bbf05cbd4ec6888105c011d9417f7d079fcd24995da1102006e5fe8ef2"
+    )
+
+
 # --- summarize ---
 
 
