@@ -24,7 +24,6 @@ from .core import (
 )
 from .cuts import (
     CutResult,
-    MajorityConfig,
     beta_lower_bound,
     brute_force_max_cut,
     brute_force_min_discrepancy,
@@ -55,7 +54,6 @@ __all__ = [
     "Coloring",
     "CutResult",
     "ExperimentSpec",
-    "MajorityConfig",
     "ModelParams",
     "RepresentationMatrix",
     "Seed",

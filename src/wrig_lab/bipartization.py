@@ -27,6 +27,10 @@ ExcludedEdge = tuple[int, int, int]  # (u, v, label) with u < v
 
 STRONG_MIN_SIZE = 3
 
+# Largest cycle size and vertex count that count_sequences_exact enumerates.
+SEQUENCE_MAX_K = 4
+SEQUENCE_MAX_N = 12
+
 
 def default_max_rematch(n: int) -> int:
     """Generous re-matching budget: max(1000, 10 n ceil(log2(n+2)))."""
@@ -407,21 +411,20 @@ def expected_sequence_count(n: int, m: int, p: float, k: int) -> float:
     return math.exp(log_value)
 
 
-def count_sequences_exact(
-    R: RepresentationMatrix, k: int, *, max_k: int = 4, max_n: int = 12
-) -> int:
+def count_sequences_exact(R: RepresentationMatrix, k: int) -> int:
     """Count closed vertex-label cycles of size k on a concrete matrix.
 
     Counts sequences with distinct vertices and distinct labels in the same
     canonical form as ``VertexLabelSequence``: the smallest vertex leads,
-    reflections count separately.  Exponential in k, hence the caps.
+    reflections count separately.  Exponential in k, hence the caps
+    ``SEQUENCE_MAX_K`` and ``SEQUENCE_MAX_N``.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k > max_k:
-        raise ValueError(f"k={k} exceeds the cap {max_k}")
-    if R.n > max_n:
-        raise ValueError(f"n={R.n} exceeds the cap {max_n}")
+    if k > SEQUENCE_MAX_K:
+        raise ValueError(f"k={k} exceeds the cap {SEQUENCE_MAX_K}")
+    if R.n > SEQUENCE_MAX_N:
+        raise ValueError(f"n={R.n} exceeds the cap {SEQUENCE_MAX_N}")
     if k > R.n or k > R.m:
         return 0
     if k == 1:

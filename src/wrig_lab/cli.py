@@ -5,8 +5,9 @@ algorithm on a matrix file), ``bipartize`` (run weak bipartization),
 ``count-sequences`` (exact or expected closed-cycle counts), and
 ``experiment`` (run a config-driven Monte Carlo sweep).
 
-Exit codes: 0 on success, 1 on invalid input, 2 on runtime failure, 3 when
-bipartization failed to terminate and --strict was given.
+Exit codes: 0 on success, 1 on invalid input, 2 on runtime failure (out of
+memory included), 3 when bipartization failed to terminate and --strict was
+given.
 """
 
 from __future__ import annotations
@@ -51,9 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sample.add_argument("--out", help="output path (default: stdout)")
 
     p_solve = sub.add_parser("solve", help="run a cut algorithm on a matrix file")
-    p_solve.add_argument(
-        "--algo", required=True, choices=("random", "majority", "exact", "mindisc")
-    )
+    p_solve.add_argument("--algo", required=True, choices=cuts.CUT_ALGORITHMS)
     p_solve.add_argument("--epsilon", type=float, default=0.0)
     p_solve.add_argument("--seed", type=int, default=0)
     p_solve.add_argument("--in", dest="infile", required=True, help="matrix file")
@@ -119,25 +118,13 @@ def cmd_sample(args) -> int:
 
 def cmd_solve(args) -> int:
     R = textio.read_matrix(args.infile)
-    if args.algo == "random":
-        result = cuts.random_cut(R, args.seed)
-        coloring, weight = result.coloring, result.weight
-    elif args.algo == "majority":
-        cfg = cuts.MajorityConfig(epsilon=args.epsilon)
-        result = cuts.majority_cut(R, cfg, args.seed)
-        coloring, weight = result.coloring, result.weight
-    elif args.algo == "exact":
-        result = cuts.brute_force_max_cut(R)
-        coloring, weight = result.coloring, result.weight
-    else:
-        coloring, _ = cuts.brute_force_min_discrepancy(R)
-        weight = cut_weight(R, coloring)
+    result = cuts.solve(R, args.algo, args.seed, epsilon=args.epsilon)
     if args.coloring_out:
-        textio.write_coloring(coloring, args.coloring_out)
+        textio.write_coloring(result.coloring, args.coloring_out)
     payload = {
         "algorithm": args.algo,
-        "weight": weight,
-        "discrepancy": discrepancy(R, coloring),
+        "weight": result.weight,
+        "discrepancy": discrepancy(R, result.coloring),
         "n": R.n,
         "m": R.m,
         "seed": args.seed,
@@ -145,7 +132,7 @@ def cmd_solve(args) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"{args.algo}: weight={weight} discrepancy={payload['discrepancy']}")
+        print(f"{args.algo}: weight={payload['weight']} discrepancy={payload['discrepancy']}")
     return EXIT_OK
 
 
@@ -233,17 +220,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except CliError as exc:
+    except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (ValueError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as exc:
+    except (OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RUNTIME
 
 

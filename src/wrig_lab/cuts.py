@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,50 +26,40 @@ DEFAULT_BRUTE_FORCE_CAP = 24
 _BLOCK_SCORES = 1 << 11
 
 
-@dataclass(frozen=True)
-class MajorityConfig:
-    """Knobs of the majority heuristic.
-
-    ``epsilon`` is the fraction of vertices colored uniformly at random
-    before the greedy sweep starts (at 1.0 the whole coloring is random).
-    """
-
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+CUT_ALGORITHMS = ("random", "majority", "exact", "mindisc")
 
 
 @dataclass(frozen=True)
 class CutResult:
-    """A coloring, its cut weight, and which algorithm produced it."""
+    """A coloring and its cut weight."""
 
     coloring: Coloring
     weight: int
-    algorithm: str
 
 
 def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
     """Color every vertex independently and equiprobably, then score the cut."""
     rng = derive_rng(seed)
     x = Coloring(rng.integers(0, 2, size=R.n) * 2 - 1)
-    return CutResult(coloring=x, weight=cut_weight(R, x), algorithm="random")
+    return CutResult(coloring=x, weight=cut_weight(R, x))
 
 
-def majority_cut(R: RepresentationMatrix, cfg: MajorityConfig, seed: Seed) -> CutResult:
+def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResult:
     """Greedy majority coloring.
 
-    After a random prefix of floor(epsilon*n) vertices, each vertex v gets the
-    color opposing the signed weight of its already-colored neighborhood,
+    After a random prefix of floor(epsilon*n) vertices (epsilon in [0, 1];
+    at 1 the whole coloring is random), each vertex v gets the color
+    opposing the signed weight of its already-colored neighborhood,
     z = sum over colored u of |S_u cap S_v| * x_u, with ties (z == 0) going
     to -1.  z is accumulated through per-label color sums, so one step costs
     O(|S_v|) after the label bookkeeping.  Only vertices with labels need
     the sweep: every other vertex keeps its prefix color, or gets -1 (z = 0).
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     rng = derive_rng(seed)
     n = R.n
-    prefix = math.floor(cfg.epsilon * n + 1e-9)
+    prefix = math.floor(epsilon * n + 1e-9)
     signs = np.full(n, -1, dtype=np.int8)
     if prefix:
         signs[:prefix] = rng.integers(0, 2, size=prefix) * 2 - 1
@@ -94,7 +84,7 @@ def majority_cut(R: RepresentationMatrix, cfg: MajorityConfig, seed: Seed) -> Cu
     signs[labelled] = colors
 
     x = Coloring(signs)
-    return CutResult(coloring=x, weight=cut_weight(R, x), algorithm="majority")
+    return CutResult(coloring=x, weight=cut_weight(R, x))
 
 
 def beta_lower_bound(c: float) -> float:
@@ -178,7 +168,7 @@ def brute_force_max_cut(
     best_norm, coloring = _argmin_over_colorings(R, cap, norm_sq)
     quad = R.entry_sum() - best_norm
     assert quad % 4 == 0
-    return CutResult(coloring=coloring, weight=quad // 4, algorithm="exact")
+    return CutResult(coloring=coloring, weight=quad // 4)
 
 
 def brute_force_min_discrepancy(
@@ -200,3 +190,29 @@ def brute_force_min_discrepancy(
 
     best_disc, coloring = _argmin_over_colorings(R, cap, disc)
     return coloring, best_disc
+
+
+def solve(
+    R: RepresentationMatrix,
+    algo: str,
+    seed: Optional[Seed],
+    *,
+    epsilon: float = 0.0,
+    cap: int = DEFAULT_BRUTE_FORCE_CAP,
+) -> CutResult:
+    """Run the cut algorithm named ``algo`` (one of ``CUT_ALGORITHMS``).
+
+    ``seed`` and ``epsilon`` reach only the heuristics, ``cap`` only the
+    oracles.  The functions are looked up when called, so wrappers set on
+    this module's attributes see every call.
+    """
+    if algo == "random":
+        return random_cut(R, seed)
+    if algo == "majority":
+        return majority_cut(R, epsilon, seed)
+    if algo == "exact":
+        return brute_force_max_cut(R, cap=cap)
+    if algo == "mindisc":
+        coloring, _ = brute_force_min_discrepancy(R, cap=cap)
+        return CutResult(coloring=coloring, weight=cut_weight(R, coloring))
+    raise ValueError(f"unknown cut algorithm {algo!r}, expected one of {CUT_ALGORITHMS}")

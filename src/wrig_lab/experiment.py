@@ -16,7 +16,9 @@ import math
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from contextlib import ExitStack
+from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from os import cpu_count
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Union
@@ -27,35 +29,11 @@ from . import bipartization, cuts, textio
 from .core import Coloring, RepresentationMatrix, cut_weight, discrepancy
 from .sampling import ModelParams, sample_matrix
 
-ALGORITHMS = ("random", "majority", "exact", "mindisc", "bipartize")
+ALGORITHMS = cuts.CUT_ALGORITHMS + ("bipartize",)
 REGIMES = ("fixed", "alpha-sweep", "c-sweep")
 P_RULES = ("inv_sqrt_nm",)
 
 CSV_SCHEMA_LINE = "# wrig-lab schema 1"
-CSV_COLUMNS = (
-    "grid_id",
-    "trial",
-    "n",
-    "m",
-    "p",
-    "seed",
-    "total_offdiag",
-    "random_weight",
-    "random_disc",
-    "majority_weight",
-    "majority_disc",
-    "exact_weight",
-    "exact_disc",
-    "mindisc_weight",
-    "mindisc_disc",
-    "bipartize_weight",
-    "bipartize_disc",
-    "bipartize_terminated",
-    "bipartize_iterations",
-    "bipartize_label_disjoint",
-    "bipartize_zero_strong",
-    "bipartize_codd_encounters",
-)
 
 # Fraction of trials whose reported weights are re-derived from the
 # serialized coloring as a self-check (every 100th trial).
@@ -229,6 +207,9 @@ class TrialRecord:
     wall_times: dict[str, float] = field(default_factory=dict, compare=False)
 
 
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRecord) if f.name != "wall_times")
+
+
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -240,8 +221,7 @@ def _csv_cell(value) -> str:
 
 
 def record_to_csv_row(record: TrialRecord) -> str:
-    data = asdict(record)
-    return ",".join(_csv_cell(data[column]) for column in CSV_COLUMNS)
+    return ",".join(_csv_cell(getattr(record, column)) for column in CSV_COLUMNS)
 
 
 def _trial_streams(seed: int, grid_id: int, trial: int) -> tuple[int, int, int, int]:
@@ -259,71 +239,43 @@ def _audit_coloring(R: RepresentationMatrix, coloring: Coloring, weight: int, di
 def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
     grid_id, trial = task
     params = spec.grid[grid_id]
-    matrix_seed, random_seed, majority_seed, bipartize_seed = _trial_streams(
-        spec.seed, grid_id, trial
-    )
+    matrix_seed, *algo_seeds = _trial_streams(spec.seed, grid_id, trial)
+    seeds = dict(zip(("random", "majority", "bipartize"), algo_seeds))
     R = sample_matrix(params, matrix_seed)
-    fields: dict[str, object] = {}
+    values: dict[str, object] = {}
     wall: dict[str, float] = {}
-    audit = trial % AUDIT_EVERY == 0
-
-    def run(algo: str, produce) -> None:
+    for algo in ALGORITHMS:
+        if algo not in spec.algorithms:
+            continue
+        if algo in ("exact", "mindisc") and params.n > spec.exact_cap:
+            continue
         start = time.perf_counter()
-        produced = produce()
+        if algo == "bipartize":
+            outcome = bipartization.weak_bipartization(
+                R, seeds[algo], max_rematch=spec.max_rematch
+            )
+            values.update(
+                bipartize_terminated=outcome.terminated,
+                bipartize_iterations=outcome.iterations,
+                bipartize_label_disjoint=outcome.label_disjoint,
+                bipartize_zero_strong=len(outcome.zero_strong_cycles),
+                bipartize_codd_encounters=outcome.codd_encounters,
+            )
+            coloring = bipartization.extract_coloring(outcome) if outcome.terminated else None
+            weight = None if coloring is None else cut_weight(R, coloring)
+        else:
+            result = cuts.solve(
+                R, algo, seeds.get(algo), epsilon=spec.epsilon, cap=spec.exact_cap
+            )
+            coloring, weight = result.coloring, result.weight
         wall[algo] = time.perf_counter() - start
-        if produced is None:
-            return
-        coloring, weight = produced
+        if coloring is None:
+            continue
         disc = discrepancy(R, coloring)
-        fields[f"{algo}_weight"] = weight
-        fields[f"{algo}_disc"] = disc
-        if audit:
+        values[f"{algo}_weight"] = weight
+        values[f"{algo}_disc"] = disc
+        if trial % AUDIT_EVERY == 0:
             _audit_coloring(R, coloring, weight, disc)
-
-    if "random" in spec.algorithms:
-        def _random():
-            res = cuts.random_cut(R, random_seed)
-            return res.coloring, res.weight
-
-        run("random", _random)
-    if "majority" in spec.algorithms:
-        def _majority():
-            cfg = cuts.MajorityConfig(epsilon=spec.epsilon)
-            res = cuts.majority_cut(R, cfg, majority_seed)
-            return res.coloring, res.weight
-
-        run("majority", _majority)
-    if "exact" in spec.algorithms and params.n <= spec.exact_cap:
-        def _exact():
-            res = cuts.brute_force_max_cut(R, cap=spec.exact_cap)
-            return res.coloring, res.weight
-
-        run("exact", _exact)
-    if "mindisc" in spec.algorithms and params.n <= spec.exact_cap:
-        def _mindisc():
-            coloring, _ = cuts.brute_force_min_discrepancy(R, cap=spec.exact_cap)
-            return coloring, cut_weight(R, coloring)
-
-        run("mindisc", _mindisc)
-    if "bipartize" in spec.algorithms:
-        start = time.perf_counter()
-        outcome = bipartization.weak_bipartization(
-            R, bipartize_seed, max_rematch=spec.max_rematch
-        )
-        fields["bipartize_terminated"] = outcome.terminated
-        fields["bipartize_iterations"] = outcome.iterations
-        fields["bipartize_label_disjoint"] = outcome.label_disjoint
-        fields["bipartize_zero_strong"] = len(outcome.zero_strong_cycles)
-        fields["bipartize_codd_encounters"] = outcome.codd_encounters
-        if outcome.terminated:
-            coloring = bipartization.extract_coloring(outcome)
-            weight = cut_weight(R, coloring)
-            disc = discrepancy(R, coloring)
-            fields["bipartize_weight"] = weight
-            fields["bipartize_disc"] = disc
-            if audit:
-                _audit_coloring(R, coloring, weight, disc)
-        wall["bipartize"] = time.perf_counter() - start
 
     return TrialRecord(
         grid_id=grid_id,
@@ -334,7 +286,7 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
         seed=matrix_seed,
         total_offdiag=R.entry_sum() - R.diagonal_sum(),
         wall_times=wall,
-        **fields,
+        **values,
     )
 
 
@@ -361,30 +313,23 @@ def run_experiment(
         for trial in range(spec.trials)
     ]
 
-    out = None
-    if spec.output:
-        out = Path(spec.output).open("w", encoding="utf-8", newline="\n")
-        out.write(CSV_SCHEMA_LINE + "\n")
-        out.write(",".join(CSV_COLUMNS) + "\n")
-
     records: list[TrialRecord] = []
-    try:
+    with ExitStack() as stack:
+        out = None
+        if spec.output:
+            out = stack.enter_context(Path(spec.output).open("w", encoding="utf-8", newline="\n"))
+            out.write(CSV_SCHEMA_LINE + "\n")
+            out.write(",".join(CSV_COLUMNS) + "\n")
+        run = partial(_run_trial, spec)
         if count <= 1:
-            produced: Iterable[TrialRecord] = (_run_trial(spec, task) for task in tasks)
-            for record in produced:
-                records.append(record)
-                if out is not None:
-                    out.write(record_to_csv_row(record) + "\n")
+            produced: Iterable[TrialRecord] = map(run, tasks)
         else:
-            chunk = max(1, len(tasks) // (count * 8))
-            with ProcessPoolExecutor(max_workers=count) as pool:
-                for record in pool.map(_run_trial, [spec] * len(tasks), tasks, chunksize=chunk):
-                    records.append(record)
-                    if out is not None:
-                        out.write(record_to_csv_row(record) + "\n")
-    finally:
-        if out is not None:
-            out.close()
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=count))
+            produced = pool.map(run, tasks, chunksize=max(1, len(tasks) // (count * 8)))
+        for record in produced:
+            records.append(record)
+            if out is not None:
+                out.write(record_to_csv_row(record) + "\n")
 
     stats = summarize(records, name=spec.name)
     if spec.summary:

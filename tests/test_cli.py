@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from wrig_lab import cli, cuts
 from wrig_lab.bipartization import weak_bipartization
 from wrig_lab.cli import main
-from wrig_lab.core import RepresentationMatrix
-from wrig_lab.textio import format_matrix, read_coloring, read_matrix
+from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy
+from wrig_lab.sampling import ModelParams, sample_matrix
+from wrig_lab.textio import format_matrix, read_coloring, read_matrix, write_matrix
 
 STRONG_MIX = RepresentationMatrix.from_label_sets(4, [[0, 1, 3], [1, 2], [0, 2]])
 
@@ -57,6 +59,42 @@ def test_solve_all_algorithms_run(matrix_file, capsys):
         payload = json.loads(capsys.readouterr().out)
         assert payload["algorithm"] == algo
         assert payload["weight"] <= 2
+
+
+# The coloring the library gives for each --algo on the same matrix and seed.
+LIBRARY_COLORINGS = {
+    "random": lambda R: cuts.random_cut(R, 5).coloring,
+    "majority": lambda R: cuts.majority_cut(R, 0.25, 5).coloring,
+    "exact": lambda R: cuts.brute_force_max_cut(R).coloring,
+    "mindisc": lambda R: cuts.brute_force_min_discrepancy(R)[0],
+}
+
+
+@pytest.mark.parametrize("algo", sorted(LIBRARY_COLORINGS))
+def test_solve_agrees_with_the_library(algo, tmp_path, capsys):
+    R = sample_matrix(ModelParams.fixed(12, 10, 0.3), 7)
+    matrix_path, coloring_path = tmp_path / "R.wrig", tmp_path / "x.txt"
+    write_matrix(R, matrix_path)
+    assert main([
+        "solve", "--algo", algo, "--in", str(matrix_path), "--seed", "5",
+        "--epsilon", "0.25", "--coloring-out", str(coloring_path), "--json",
+    ]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    coloring = LIBRARY_COLORINGS[algo](R)
+    assert read_coloring(coloring_path) == coloring
+    assert payload["weight"] == cut_weight(R, coloring)
+    assert payload["discrepancy"] == discrepancy(R, coloring)
+
+
+def test_out_of_memory_exits_two(matrix_file, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.cuts, "solve", exhausted)
+    assert main(["solve", "--algo", "exact", "--in", str(matrix_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
 
 
 def test_bipartize_json(matrix_file, capsys):

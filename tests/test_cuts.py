@@ -15,7 +15,6 @@ from helpers import (
 from wrig_lab import cuts
 from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy
 from wrig_lab.cuts import (
-    MajorityConfig,
     beta_lower_bound,
     brute_force_max_cut,
     brute_force_min_discrepancy,
@@ -60,20 +59,19 @@ def test_random_cut_deterministic_per_seed():
 
 
 def test_majority_hand_trace():
-    res = majority_cut(TWO_PATH, MajorityConfig(), seed=1)
+    res = majority_cut(TWO_PATH, 0.0, seed=1)
     assert tuple(res.coloring.values) == (-1, 1, -1)
     assert res.weight == 2
 
 
 def test_majority_edge_free_all_minus():
-    res = majority_cut(EDGE_FREE, MajorityConfig(), seed=0)
+    res = majority_cut(EDGE_FREE, 0.0, seed=0)
     assert tuple(res.coloring.values) == (-1, -1, -1, -1)
     assert res.weight == 0
 
 
 def test_majority_deterministic_per_seed():
-    cfg = MajorityConfig(epsilon=0.5)
-    assert majority_cut(WEAK_TRIANGLE, cfg, seed=9) == majority_cut(WEAK_TRIANGLE, cfg, seed=9)
+    assert majority_cut(WEAK_TRIANGLE, 0.5, seed=9) == majority_cut(WEAK_TRIANGLE, 0.5, seed=9)
 
 
 def test_majority_epsilon_one_matches_random_in_distribution():
@@ -82,7 +80,7 @@ def test_majority_epsilon_one_matches_random_in_distribution():
     )
     n_seeds = 4_000
     maj = np.array(
-        [majority_cut(R, MajorityConfig(epsilon=1.0), s).weight for s in range(n_seeds)],
+        [majority_cut(R, 1.0, s).weight for s in range(n_seeds)],
         dtype=float,
     )
     rnd = np.array([random_cut(R, s + n_seeds).weight for s in range(n_seeds)], dtype=float)
@@ -97,22 +95,22 @@ def test_majority_skips_unlabelled_vertices_like_the_full_loop():
         11, [[0, 2, 5], [2, 4, 7], [5, 8], [0, 4, 8]]
     )
     assert [v for v in range(R.n) if not any(v in L for L in R.label_sets)] == [1, 3, 6, 9, 10]
-    cfg = MajorityConfig(epsilon=4 / 11)
     for seed in range(40):
-        res = majority_cut(R, cfg, seed)
-        assert tuple(res.coloring.values) == majority_reference(R, cfg.epsilon, seed)
+        res = majority_cut(R, 4 / 11, seed)
+        assert tuple(res.coloring.values) == majority_reference(R, 4 / 11, seed)
 
 
 @settings(deadline=None, max_examples=80)
 @given(matrices(max_n=12, max_m=8), st.sampled_from([0.0, 0.25, 0.5, 1.0]))
 def test_majority_matches_the_full_loop(R, epsilon):
-    res = majority_cut(R, MajorityConfig(epsilon=epsilon), 17)
+    res = majority_cut(R, epsilon, 17)
     assert tuple(res.coloring.values) == majority_reference(R, epsilon, 17)
 
 
 def test_majority_config_validation():
-    with pytest.raises(ValueError):
-        MajorityConfig(epsilon=1.5)
+    for epsilon in (1.5, -0.1):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \[0, 1\]"):
+            majority_cut(WEAK_TRIANGLE, epsilon, 0)
 
 
 @settings(deadline=None, max_examples=60)
@@ -120,8 +118,15 @@ def test_majority_config_validation():
 def test_heuristic_weights_match_their_colorings(R):
     rnd = random_cut(R, 5)
     assert rnd.weight == cut_weight(R, rnd.coloring)
-    maj = majority_cut(R, MajorityConfig(epsilon=0.25), 6)
+    maj = majority_cut(R, 0.25, 6)
     assert maj.weight == cut_weight(R, maj.coloring)
+
+
+def test_solve_passes_the_cap_and_rejects_unknown_names():
+    with pytest.raises(ValueError, match="exceeds the brute-force cap 2"):
+        cuts.solve(TRIANGLE, "mindisc", None, cap=2)
+    with pytest.raises(ValueError, match="unknown cut algorithm 'bipartize'"):
+        cuts.solve(TRIANGLE, "bipartize", 3)
 
 
 # --- beta lower bound ---
@@ -200,7 +205,7 @@ def test_brute_force_matches_enumeration_oracle(block_scores, R):
 def test_heuristics_never_beat_the_oracle(R):
     best = brute_force_max_cut(R).weight
     assert random_cut(R, 7).weight <= best
-    assert majority_cut(R, MajorityConfig(), 8).weight <= best
+    assert majority_cut(R, 0.0, 8).weight <= best
     offdiag = R.entry_sum() - R.diagonal_sum()
     assert offdiag / 4 <= best <= offdiag / 2
 
