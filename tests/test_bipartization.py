@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 
@@ -18,6 +19,7 @@ from wrig_lab.bipartization import (
     weak_bipartization,
 )
 from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy, norm_sq, row_sums
+from wrig_lab.experiment import ExperimentSpec, _trial_streams
 from wrig_lab.sampling import ModelParams, derive_rng, derive_seed, sample_matrix
 
 WEAK_TRIANGLE = RepresentationMatrix.from_label_sets(3, [[0, 1], [1, 2], [0, 2]])
@@ -200,6 +202,74 @@ def test_budget_exhaustion_is_reported_not_raised():
     assert out.codd_encounters == 1
     with pytest.raises(ValueError):
         extract_coloring(out)
+
+
+# --- pinned runs ---
+
+
+def _run_line(out) -> str:
+    """Canonical text of one run: everything the loop decides, in fixed order."""
+    cycles = " ".join(
+        ",".join(map(str, s.vertices)) + "/" + ",".join(map(str, s.labels))
+        for s in out.zero_strong_cycles
+    )
+    excluded = " ".join(f"{u}-{v}-{l}" for u, v, l in sorted(out.state.excluded))
+    matchings = ";".join(
+        " ".join(f"{u}-{v}" for u, v in matching) for matching in out.state.matchings
+    )
+    coloring = (
+        "".join("+" if x > 0 else "-" for x in extract_coloring(out).values.tolist())
+        if out.terminated
+        else ""
+    )
+    return (
+        f"{int(out.terminated)} {out.iterations} {int(out.label_disjoint)} "
+        f"{out.codd_encounters}|{cycles}|{excluded}|{matchings}|{coloring}"
+    )
+
+
+PINNED_RUNS = {
+    # The bipartize-mixed benchmark sweep: many c = 2 runs exhaust the budget.
+    "mixed_c": (
+        {"regime": "c-sweep", "n": 100, "c": [0.75, 1.5, 2.0], "max_rematch": 10, "trials": 40},
+        "ea873358cd38a05c9aba5a064b71f8f3987db5244d1fc7d51e44f15646444fae",
+        {"terminated": 99},
+    ),
+    # Many weak labels: no run terminates, but weak cycles, shared labels and
+    # weak edges whose pair another label also covers all occur.
+    "weak_heavy": (
+        {"regime": "fixed", "n": 20, "m": 60, "p": 0.1, "max_rematch": 50, "trials": 100},
+        "a5281bb227671aa2f6b9ad16a34e16a3a5797db0f1ad190bc76792b7c864fe4b",
+        {"terminated": 0, "weak_cycles": 20, "not_disjoint": 4, "shared_pair_excluded": 2},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_RUNS))
+def test_bipartization_runs_are_pinned(case):
+    # Streams as in run_experiment with seed 0: one matrix and one
+    # bipartization seed per (grid point, trial).
+    config, digest, coverage = PINNED_RUNS[case]
+    spec = ExperimentSpec.from_dict({**config, "algorithms": ["bipartize"]})
+    lines = []
+    seen = Counter()
+    for grid_id, params in enumerate(spec.grid):
+        for trial in range(spec.trials):
+            matrix_seed, _, _, run_seed = _trial_streams(spec.seed, grid_id, trial)
+            R = sample_matrix(params, matrix_seed)
+            out = weak_bipartization(R, run_seed, max_rematch=spec.max_rematch)
+            lines.append(_run_line(out))
+            pair_labels = Counter(p for m in out.state.matchings for p in m)
+            seen["terminated"] += out.terminated
+            seen["weak_cycles"] += bool(out.zero_strong_cycles)
+            seen["not_disjoint"] += not out.label_disjoint
+            seen["shared_pair_excluded"] += any(
+                pair_labels[(u, v)] > 1 for u, v, _ in out.state.excluded
+            )
+    for key, count in coverage.items():
+        assert seen[key] == count, key
+    text = "\n".join(lines) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, dict(seen)
 
 
 # --- coloring extraction ---
