@@ -5,13 +5,10 @@ experiment harness.
 
 from .bipartization import (
     BipartizationOutcome,
-    BipartizationState,
     VertexLabelSequence,
     count_sequences_exact,
     expected_sequence_count,
     extract_coloring,
-    find_codd_member,
-    random_maximal_matching,
     weak_bipartization,
 )
 from .core import (
@@ -50,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BipartizationOutcome",
-    "BipartizationState",
     "Coloring",
     "CutResult",
     "ExperimentSpec",
@@ -71,11 +67,9 @@ __all__ = [
     "expected_edge_weight_sum",
     "expected_sequence_count",
     "extract_coloring",
-    "find_codd_member",
     "majority_cut",
     "norm_sq",
     "random_cut",
-    "random_maximal_matching",
     "row_sums",
     "run_experiment",
     "sample_matrix",

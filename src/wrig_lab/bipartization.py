@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -75,217 +75,143 @@ class VertexLabelSequence:
         vertices: Sequence[int],
         labels: Sequence[int],
     ) -> "VertexLabelSequence":
+        """Canonical sequence of a cycle whose i-th label covers the pair
+        (vertices[i], vertices[i+1]); the caller guarantees the coverage."""
         if len(vertices) != len(labels):
             raise ValueError("need one label per consecutive vertex pair")
-        k = len(vertices)
-        for i in range(k):
-            u, w = vertices[i], vertices[(i + 1) % k]
-            L = R.label_sets[labels[i]]
-            if u not in L or w not in L:
-                raise ValueError(
-                    f"label {labels[i]} does not cover the pair ({u}, {w})"
-                )
-        j = min(range(k), key=lambda i: vertices[i])
+        j = min(range(len(vertices)), key=vertices.__getitem__)
         return cls(
             vertices=tuple(vertices[j:]) + tuple(vertices[:j]),
             labels=tuple(labels[j:]) + tuple(labels[:j]),
-            strength=sum(
-                1 for l in labels if len(R.label_sets[l]) >= STRONG_MIN_SIZE
-            ),
+            strength=sum(len(R.label_sets[l]) >= STRONG_MIN_SIZE for l in labels),
         )
 
     def __len__(self) -> int:
         return len(self.labels)
 
 
-class BipartizationState:
-    """Mutable working state: per-label matchings plus detection bookkeeping.
-
-    The skeleton is the multigraph union of all matchings, each edge tagged
-    by its originating label.  ``excluded`` collects one weak-label edge per
-    odd cycle the detector could not repair; ``zero_strong`` records those
-    cycles and ``label_disjoint`` stays true while no two of them share a
-    label.
-    """
-
-    def __init__(
-        self,
-        R: RepresentationMatrix,
-        matchings: Sequence[Sequence[Pair]],
-        excluded: Iterable[ExcludedEdge] = (),
-    ):
-        if len(matchings) != R.m:
-            raise ValueError(f"need one matching per label, got {len(matchings)}")
-        self.R = R
-        self.matchings: list[tuple[Pair, ...]] = []
-        for l, matching in enumerate(matchings):
-            self.matchings.append(self._checked_matching(l, matching))
-        self.excluded: set[ExcludedEdge] = set()
-        self.zero_strong: list[VertexLabelSequence] = []
-        self.label_disjoint: bool = True
-        for edge in excluded:
-            self._check_excluded(edge)
-            self.excluded.add(edge)
-
-    @classmethod
-    def initial(
-        cls, R: RepresentationMatrix, rng: np.random.Generator
-    ) -> "BipartizationState":
-        return cls(R, [random_maximal_matching(L, rng) for L in R.label_sets])
-
-    def _checked_matching(self, label: int, matching: Sequence[Pair]) -> tuple[Pair, ...]:
-        L = self.R.label_sets[label]
-        pairs = tuple(tuple(sorted(p)) for p in matching)
-        seen: set[int] = set()
-        for u, v in pairs:
-            if u == v or u not in L or v not in L:
-                raise ValueError(f"pair ({u}, {v}) is not a valid edge of label {label}")
-            if u in seen or v in seen:
-                raise ValueError(f"matching of label {label} reuses a vertex")
-            seen.update((u, v))
-        if len(pairs) != len(L) // 2:
-            raise ValueError(
-                f"matching of label {label} is not maximal: "
-                f"{len(pairs)} pairs for {len(L)} vertices"
-            )
-        return pairs
-
-    def _check_excluded(self, edge: ExcludedEdge) -> None:
-        u, v, l = edge
-        if (u, v) not in self.matchings[l]:
-            raise ValueError(f"excluded edge {edge} is not in the skeleton")
-        if len(self.R.label_sets[l]) != 2:
-            raise ValueError(f"excluded edge {edge} must carry a weak label")
-
-    def rematch(self, label: int, rng: np.random.Generator) -> None:
-        self.matchings[label] = random_maximal_matching(self.R.label_sets[label], rng)
-
-    def reset_detection(self) -> None:
-        self.excluded.clear()
-        self.zero_strong.clear()
-        self.label_disjoint = True
-
-    def available_edges(self) -> dict[Pair, tuple[int, ...]]:
-        """Simple-graph view of skeleton minus excluded: pair -> labels."""
-        table: dict[Pair, list[int]] = {}
-        for l, matching in enumerate(self.matchings):
-            for pair in matching:
-                if (pair[0], pair[1], l) not in self.excluded:
-                    table.setdefault(pair, []).append(l)
-        return {pair: tuple(labels) for pair, labels in table.items()}
-
-
 @dataclass(frozen=True)
 class BipartizationOutcome:
     """Result of a full bipartization run.
 
-    ``codd_encounters`` counts the distinct repairable odd cycles the
-    detector returned over the whole run (re-findings of the same cycle
-    after an unlucky re-match are not double counted).
+    ``matchings`` holds each label's final matching and ``excluded`` the
+    weak edges (u, v, label) the last detection pass set aside; the
+    skeleton is the union of the matchings.  ``codd_encounters`` counts the
+    distinct repairable odd cycles the detector returned over the whole run
+    (re-findings of the same cycle after an unlucky re-match are not double
+    counted).
     """
 
     terminated: bool
     iterations: int
-    state: BipartizationState
+    R: RepresentationMatrix
+    matchings: tuple[tuple[Pair, ...], ...]
+    excluded: frozenset[ExcludedEdge]
     zero_strong_cycles: tuple[VertexLabelSequence, ...]
     label_disjoint: bool
     codd_encounters: int = 0
 
 
-def _adjacency(edges: dict[Pair, tuple[int, ...]]) -> dict[int, list[int]]:
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for nbrs in adj.values():
+def _skeleton(
+    n: int,
+    matchings: Sequence[Sequence[Pair]],
+    excluded: Collection[ExcludedEdge] = (),
+) -> tuple[dict[Pair, list[int]], list[list[int]]]:
+    """Skeleton minus excluded as a simple graph: the labels of each pair in
+    ascending order, and each vertex's sorted neighbours."""
+    pairs: dict[Pair, list[int]] = {}
+    for l, matching in enumerate(matchings):
+        for u, v in matching:
+            if (u, v, l) not in excluded:
+                pairs.setdefault((u, v), []).append(l)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    for nbrs in adj:
         nbrs.sort()
-    return adj
+    return pairs, adj
 
 
-def _shortest_odd_cycle(adj: dict[int, list[int]]) -> Optional[list[int]]:
+def _shortest_odd_cycle(adj: list[list[int]]) -> Optional[list[int]]:
     """Vertices of a minimum-length odd cycle, or None if the graph is bipartite.
 
-    Runs a BFS on the bipartite double cover from every vertex s: the
-    distance from (s, even) to (s, odd) is the length of the shortest odd
-    closed walk through s, and at the global minimum that walk is a simple
-    cycle.  Ties go to the smallest start vertex.
+    The shortest odd closed walk through each start vertex comes from a BFS
+    on the bipartite double cover; at the global minimum that walk is a
+    simple cycle.  Ties go to the smallest start vertex.
     """
-    best_len: Optional[int] = None
-    best_start = -1
-    for s in sorted(adj):
-        reached = _double_cover_distance(adj, s, best_len)
-        if reached is not None and (best_len is None or reached < best_len):
-            best_len, best_start = reached, s
-            if best_len == 3:
+    best: Optional[list[int]] = None
+    for s in range(len(adj)):
+        cycle = _odd_cycle_through(adj, s, None if best is None else len(best))
+        if cycle is not None:
+            best = cycle
+            if len(best) == 3:
                 break
-    if best_len is None:
-        return None
-
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    start = (best_start, 0)
-    goal = (best_start, 1)
-    dist = {start: 0}
-    queue = deque([start])
-    while goal not in dist:
-        u, par = queue.popleft()
-        for w in adj[u]:
-            node = (w, par ^ 1)
-            if node not in dist:
-                dist[node] = dist[(u, par)] + 1
-                parent[node] = (u, par)
-                queue.append(node)
-    walk = [goal]
-    while walk[-1] != start:
-        walk.append(parent[walk[-1]])
-    cycle = [v for v, _ in reversed(walk)][:-1]
-    return cycle
+    return best
 
 
-def _double_cover_distance(
-    adj: dict[int, list[int]], s: int, cutoff: Optional[int]
-) -> Optional[int]:
-    start = (s, 0)
-    dist = {start: 0}
-    queue = deque([start])
-    while queue:
-        u, par = queue.popleft()
-        du = dist[(u, par)]
-        if cutoff is not None and du + 1 >= cutoff:
-            continue
-        for w in adj[u]:
-            node = (w, par ^ 1)
-            if node not in dist:
-                if node == (s, 1):
-                    return du + 1
-                dist[node] = du + 1
-                queue.append(node)
+def _odd_cycle_through(
+    adj: list[list[int]], s: int, cutoff: Optional[int]
+) -> Optional[list[int]]:
+    """Shortest odd closed walk from s, if one is shorter than ``cutoff``.
+
+    BFS over the double cover, level by level, where node 2v + parity is
+    vertex v reached after a walk of that parity; the walk ends at node
+    2s + 1.  Levels from cutoff - 1 on are not expanded, since every walk
+    they would lead to is at least ``cutoff`` long.
+    """
+    start, goal = 2 * s, 2 * s + 1
+    parent = {start: start}
+    frontier = [start]
+    depth = 0
+    while frontier and (cutoff is None or depth + 1 < cutoff):
+        following = []
+        for node in frontier:
+            flip = 1 - (node & 1)
+            for w in adj[node >> 1]:
+                nxt = 2 * w + flip
+                if nxt in parent:
+                    continue
+                parent[nxt] = node
+                if nxt == goal:
+                    walk = []
+                    while node != start:
+                        walk.append(node >> 1)
+                        node = parent[node]
+                    walk.append(s)
+                    return walk[::-1]
+                following.append(nxt)
+        frontier = following
+        depth += 1
     return None
 
 
 def _cycle_labels(
-    state: BipartizationState,
-    edges: dict[Pair, tuple[int, ...]],
-    cycle: Sequence[int],
+    pairs: dict[Pair, list[int]], strong: Sequence[bool], cycle: Sequence[int]
 ) -> list[int]:
     """One label per cycle edge, preferring the smallest strong one."""
-    label_sets = state.R.label_sets
     chosen = []
     for i in range(len(cycle)):
         u, w = cycle[i], cycle[(i + 1) % len(cycle)]
-        avail = edges[(u, w) if u < w else (w, u)]
-        strong = [l for l in avail if len(label_sets[l]) >= STRONG_MIN_SIZE]
-        chosen.append(min(strong) if strong else min(avail))
+        avail = pairs[(u, w) if u < w else (w, u)]
+        chosen.append(next((l for l in avail if strong[l]), avail[0]))
     return chosen
 
 
-def find_codd_member(state: BipartizationState) -> Optional[VertexLabelSequence]:
-    """Search skeleton minus excluded for a repairable odd cycle.
+def find_codd_member(
+    R: RepresentationMatrix, matchings: Sequence[Sequence[Pair]]
+) -> tuple[
+    Optional[VertexLabelSequence], list[VertexLabelSequence], set[ExcludedEdge], bool
+]:
+    """Search the skeleton of ``matchings`` for a repairable odd cycle.
 
-    Returns a shortest odd cycle that carries at least one strong label.
-    Odd cycles made purely of weak labels are recorded instead: one edge of
-    each (the one with the smallest label) moves to the excluded set and the
+    Returns ``(member, zero_strong, excluded, label_disjoint)``.  ``member``
+    is a shortest odd cycle that carries at least one strong label, or None
+    once the skeleton minus ``excluded`` is bipartite.  Odd cycles made
+    purely of weak labels are recorded in ``zero_strong`` instead: one edge
+    of each (the one with the smallest label) moves to ``excluded`` and the
     search continues.  Recording a cycle that shares a label with an earlier
-    recorded one clears ``state.label_disjoint``.
+    recorded one clears ``label_disjoint``.
 
     Minimality makes the returned cycle simple in its vertices, and a weak
     label can never repeat along it (each contributes a single edge).  A
@@ -293,24 +219,35 @@ def find_codd_member(state: BipartizationState) -> Optional[VertexLabelSequence]
     shortest odd cycle; such a cycle is still returned as a repair member,
     since re-matching that label is the only available fix.
     """
+    pairs, adj = _skeleton(R.n, matchings)
+    strong = [len(L) >= STRONG_MIN_SIZE for L in R.label_sets]
+    zero_strong: list[VertexLabelSequence] = []
+    excluded: set[ExcludedEdge] = set()
+    recorded_labels: set[int] = set()
+    label_disjoint = True
     while True:
-        edges = state.available_edges()
-        cycle = _shortest_odd_cycle(_adjacency(edges))
+        cycle = _shortest_odd_cycle(adj)
         if cycle is None:
-            return None
-        labels = _cycle_labels(state, edges, cycle)
+            return None, zero_strong, excluded, label_disjoint
+        labels = _cycle_labels(pairs, strong, cycle)
         assert len(set(cycle)) == len(cycle), "detector returned repeated vertices"
-        seq = VertexLabelSequence.from_cycle(state.R, cycle, labels)
+        seq = VertexLabelSequence.from_cycle(R, cycle, labels)
         if seq.strength > 0:
-            return seq
+            return seq, zero_strong, excluded, label_disjoint
 
-        known = set().union(*(s.labels for s in state.zero_strong)) if state.zero_strong else set()
-        if known.intersection(seq.labels):
-            state.label_disjoint = False
-        state.zero_strong.append(seq)
-        k = min(range(len(labels)), key=lambda i: labels[i])
-        u, w = cycle[k], cycle[(k + 1) % len(cycle)]
-        state.excluded.add((min(u, w), max(u, w), labels[k]))
+        if recorded_labels.intersection(labels):
+            label_disjoint = False
+        recorded_labels.update(labels)
+        zero_strong.append(seq)
+        k = min(range(len(labels)), key=labels.__getitem__)
+        u, w = sorted((cycle[k], cycle[(k + 1) % len(cycle)]))
+        excluded.add((u, w, labels[k]))
+        pair_labels = pairs[(u, w)]
+        pair_labels.remove(labels[k])
+        if not pair_labels:
+            del pairs[(u, w)]
+            adj[u].remove(w)
+            adj[w].remove(u)
 
 
 def weak_bipartization(
@@ -324,18 +261,22 @@ def weak_bipartization(
     of one strong label (the smallest in the found cycle) until no
     repairable odd cycle remains, or the re-match budget runs out, in which
     case the outcome reports ``terminated=False`` rather than raising.
-    Excluded edges and recorded weak cycles are rebuilt from scratch after
-    every re-match, since a new matching can change the cycle structure.
+    Every detection pass starts from the whole skeleton, since a new
+    matching can change the cycle structure.
     """
     if max_rematch is None:
         max_rematch = default_max_rematch(R.n)
+    elif max_rematch < 0:
+        raise ValueError(f"max_rematch must be >= 0, got {max_rematch}")
     rng = derive_rng(seed)
-    state = BipartizationState.initial(R, rng)
+    label_sets = R.label_sets
+    matchings = [random_maximal_matching(L, rng) for L in label_sets]
     iterations = 0
     encountered: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     while True:
-        state.reset_detection()
-        member = find_codd_member(state)
+        # Looked up at call time, so a wrapper at the module attribute sees
+        # every pass.
+        member, zero_strong, excluded, label_disjoint = find_codd_member(R, matchings)
         if member is None:
             terminated = True
             break
@@ -343,17 +284,17 @@ def weak_bipartization(
         if iterations >= max_rematch:
             terminated = False
             break
-        strong = [
-            l for l in member.labels if len(R.label_sets[l]) >= STRONG_MIN_SIZE
-        ]
-        state.rematch(min(strong), rng)
+        label = min(l for l in member.labels if len(label_sets[l]) >= STRONG_MIN_SIZE)
+        matchings[label] = random_maximal_matching(label_sets[label], rng)
         iterations += 1
     return BipartizationOutcome(
         terminated=terminated,
         iterations=iterations,
-        state=state,
-        zero_strong_cycles=tuple(state.zero_strong),
-        label_disjoint=state.label_disjoint,
+        R=R,
+        matchings=tuple(matchings),
+        excluded=frozenset(excluded),
+        zero_strong_cycles=tuple(zero_strong),
+        label_disjoint=label_disjoint,
         codd_encounters=len(encountered),
     )
 
@@ -368,16 +309,13 @@ def extract_coloring(outcome: BipartizationOutcome) -> Coloring:
     """
     if not outcome.terminated:
         raise ValueError("cannot extract a coloring from a non-terminated run")
-    state = outcome.state
-    n = state.R.n
-    adj = _adjacency(state.available_edges())
+    n = outcome.R.n
+    _, adj = _skeleton(n, outcome.matchings, outcome.excluded)
     signs = [0] * n
     for start in range(n):
         if signs[start] != 0:
             continue
         signs[start] = 1
-        if start not in adj:
-            continue
         queue = deque([start])
         while queue:
             u = queue.popleft()

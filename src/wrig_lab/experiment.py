@@ -27,7 +27,7 @@ import numpy as np
 
 from . import bipartization, cuts, textio
 from .core import Coloring, RepresentationMatrix, cut_weight, discrepancy
-from .sampling import ModelParams, sample_matrix
+from .sampling import ModelParams, label_count_for_alpha, sample_matrix
 
 ALGORITHMS = cuts.CUT_ALGORITHMS + ("bipartize",)
 REGIMES = ("fixed", "alpha-sweep", "c-sweep")
@@ -78,6 +78,10 @@ class ExperimentSpec:
             raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
+        if self.max_rematch is not None and self.max_rematch < 0:
+            raise ValueError(f"max_rematch must be >= 0, got {self.max_rematch}")
+        if self.exact_cap < 1:
+            raise ValueError(f"exact_cap must be >= 1, got {self.exact_cap}")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
@@ -110,7 +114,7 @@ class ExperimentSpec:
             regime=regime,
             grid=grid,
             trials=int(raw.get("trials", 1)),
-            algorithms=tuple(raw.get("algorithms", ("random",))),
+            algorithms=tuple(_as_list(raw.get("algorithms", "random"))),
             epsilon=float(raw.get("epsilon", 0.0)),
             seed=int(raw.get("seed", 0)),
             max_rematch=(
@@ -160,8 +164,6 @@ def _expand_grid(regime: str, raw: dict) -> list[ModelParams]:
         for n in ns:
             for alpha in _as_list(raw["alpha"]):
                 if rule == "inv_sqrt_nm":
-                    from .sampling import label_count_for_alpha
-
                     m = label_count_for_alpha(n, float(alpha))
                     points.append(
                         ModelParams.from_alpha(n, float(alpha), 1.0 / math.sqrt(n * m))

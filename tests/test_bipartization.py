@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from helpers import matrices, oracle_max_cut_weight, oracle_min_discrepancy
 from wrig_lab.bipartization import (
-    BipartizationState,
     VertexLabelSequence,
     count_sequences_exact,
     default_max_rematch,
@@ -63,7 +62,7 @@ def test_matching_pairs_are_disjoint_and_maximal(members, seed):
     assert set(used) <= set(members)
 
 
-# --- sequences and state validation ---
+# --- sequences ---
 
 
 def test_sequence_canonical_rotation_preserves_direction():
@@ -76,63 +75,48 @@ def test_sequence_canonical_rotation_preserves_direction():
     assert reflected != seq
 
 
-def test_sequence_rejects_uncovered_pair():
-    with pytest.raises(ValueError):
-        VertexLabelSequence.from_cycle(WEAK_TRIANGLE, [0, 1, 2], [0, 0, 2])
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):  # not maximal
-        BipartizationState(K4, [[(0, 1)]])
-    with pytest.raises(ValueError):  # vertex reuse
-        BipartizationState(K4, [[(0, 1), (1, 2)]])
-    with pytest.raises(ValueError):  # endpoint outside the label set
-        BipartizationState(STRONG_MIX, [[(0, 2)], [(1, 2)], [(0, 2)]])
-    with pytest.raises(ValueError):  # wrong matching count
-        BipartizationState(WEAK_TRIANGLE, [[(0, 1)]])
-    with pytest.raises(ValueError):  # excluded edge missing from skeleton
-        BipartizationState(
-            WEAK_TRIANGLE, [[(0, 1)], [(1, 2)], [(0, 2)]], excluded=[(1, 2, 0)]
-        )
-    with pytest.raises(ValueError):  # excluded label must be weak
-        BipartizationState(K4, [[(0, 1), (2, 3)]], excluded=[(0, 1, 0)])
-
-
 # --- detector ---
 
 
 def test_detector_records_weak_triangle_and_reports_absent():
-    state = BipartizationState(WEAK_TRIANGLE, [[(0, 1)], [(1, 2)], [(0, 2)]])
-    assert find_codd_member(state) is None
-    assert len(state.zero_strong) == 1
-    assert state.zero_strong[0].vertices == (0, 1, 2)
-    assert state.zero_strong[0].strength == 0
-    assert state.excluded == {(0, 1, 0)}  # edge of the smallest weak label
-    assert state.label_disjoint
+    member, zero_strong, excluded, disjoint = find_codd_member(
+        WEAK_TRIANGLE, [[(0, 1)], [(1, 2)], [(0, 2)]]
+    )
+    assert member is None
+    assert len(zero_strong) == 1
+    assert zero_strong[0].vertices == (0, 1, 2)
+    assert zero_strong[0].strength == 0
+    assert excluded == {(0, 1, 0)}  # edge of the smallest weak label
+    assert disjoint
 
 
 def test_detector_returns_strong_cycle():
-    state = BipartizationState(STRONG_MIX, [[(0, 1)], [(1, 2)], [(0, 2)]])
-    member = find_codd_member(state)
+    member, zero_strong, excluded, disjoint = find_codd_member(
+        STRONG_MIX, [[(0, 1)], [(1, 2)], [(0, 2)]]
+    )
     assert member is not None
     assert member.vertices == (0, 1, 2)
     assert member.labels == (0, 1, 2)
     assert member.strength == 1
-    assert not state.zero_strong
+    assert not zero_strong
+    assert not excluded
+    assert disjoint
 
 
 def test_detector_absent_on_bipartite_skeleton():
-    state = BipartizationState(STRONG_MIX, [[(0, 3)], [(1, 2)], [(0, 2)]])
-    assert find_codd_member(state) is None
-    assert not state.excluded
+    member, zero_strong, excluded, _ = find_codd_member(
+        STRONG_MIX, [[(0, 3)], [(1, 2)], [(0, 2)]]
+    )
+    assert member is None
+    assert not zero_strong
+    assert not excluded
 
 
 def test_detector_handles_repeated_strong_label():
     # A dense strong label can contribute two matching edges to one shortest
     # odd cycle; the cycle is still a repair member (strength counts both).
     R = RepresentationMatrix.from_label_sets(5, [[0, 1, 2, 3], [1, 2], [3, 4], [0, 4]])
-    state = BipartizationState(R, [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)], [(0, 4)]])
-    member = find_codd_member(state)
+    member, _, _, _ = find_codd_member(R, [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)], [(0, 4)]])
     assert member.vertices == (0, 1, 2, 3, 4)
     assert member.labels == (0, 1, 0, 2, 3)
     assert member.strength == 2
@@ -151,10 +135,26 @@ def test_detector_flags_label_sharing():
     R = RepresentationMatrix.from_label_sets(
         4, [[0, 1], [1, 2], [0, 2], [2, 3], [1, 3]]
     )
-    state = BipartizationState(R, [[(0, 1)], [(1, 2)], [(0, 2)], [(2, 3)], [(1, 3)]])
-    assert find_codd_member(state) is None
-    assert len(state.zero_strong) == 2
-    assert not state.label_disjoint
+    member, zero_strong, excluded, disjoint = find_codd_member(
+        R, [[(0, 1)], [(1, 2)], [(0, 2)], [(2, 3)], [(1, 3)]]
+    )
+    assert member is None
+    assert [s.vertices for s in zero_strong] == [(0, 1, 2), (1, 2, 3)]
+    assert excluded == {(0, 1, 0), (1, 2, 1)}
+    assert not disjoint
+
+
+def test_detector_keeps_a_pair_another_label_covers():
+    # Weak labels 0 and 1 both cover {0, 1}: excluding label 0's edge there
+    # leaves label 1's, so the triangle is found again and label 1 goes too.
+    R = RepresentationMatrix.from_label_sets(3, [[0, 1], [0, 1], [1, 2], [0, 2]])
+    member, zero_strong, excluded, disjoint = find_codd_member(
+        R, [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]]
+    )
+    assert member is None
+    assert [s.labels for s in zero_strong] == [(0, 2, 3), (1, 2, 3)]
+    assert excluded == {(0, 1, 0), (0, 1, 1)}
+    assert not disjoint
 
 
 # --- full runs ---
@@ -174,7 +174,7 @@ def test_strong_mix_rematches_until_matching_leaves_the_triangle():
     for seed in range(40):
         out = weak_bipartization(STRONG_MIX, seed=seed)
         assert out.terminated
-        assert out.state.matchings[0] in (((0, 3),), ((1, 3),))
+        assert out.matchings[0] in (((0, 3),), ((1, 3),))
         if out.iterations:
             saw_rematch = True
             assert out.codd_encounters >= 1
@@ -185,7 +185,7 @@ def test_run_is_deterministic():
     a = weak_bipartization(STRONG_MIX, seed=17)
     b = weak_bipartization(STRONG_MIX, seed=17)
     assert a.iterations == b.iterations
-    assert a.state.matchings == b.state.matchings
+    assert a.matchings == b.matchings
     assert a.zero_strong_cycles == b.zero_strong_cycles
 
 
@@ -213,9 +213,9 @@ def _run_line(out) -> str:
         ",".join(map(str, s.vertices)) + "/" + ",".join(map(str, s.labels))
         for s in out.zero_strong_cycles
     )
-    excluded = " ".join(f"{u}-{v}-{l}" for u, v, l in sorted(out.state.excluded))
+    excluded = " ".join(f"{u}-{v}-{l}" for u, v, l in sorted(out.excluded))
     matchings = ";".join(
-        " ".join(f"{u}-{v}" for u, v in matching) for matching in out.state.matchings
+        " ".join(f"{u}-{v}" for u, v in matching) for matching in out.matchings
     )
     coloring = (
         "".join("+" if x > 0 else "-" for x in extract_coloring(out).values.tolist())
@@ -259,12 +259,12 @@ def test_bipartization_runs_are_pinned(case):
             R = sample_matrix(params, matrix_seed)
             out = weak_bipartization(R, run_seed, max_rematch=spec.max_rematch)
             lines.append(_run_line(out))
-            pair_labels = Counter(p for m in out.state.matchings for p in m)
+            pair_labels = Counter(p for m in out.matchings for p in m)
             seen["terminated"] += out.terminated
             seen["weak_cycles"] += bool(out.zero_strong_cycles)
             seen["not_disjoint"] += not out.label_disjoint
             seen["shared_pair_excluded"] += any(
-                pair_labels[(u, v)] > 1 for u, v, _ in out.state.excluded
+                pair_labels[(u, v)] > 1 for u, v, _ in out.excluded
             )
     for key, count in coverage.items():
         assert seen[key] == count, key
@@ -279,7 +279,7 @@ def test_extracted_coloring_weak_triangle_is_optimal():
     out = weak_bipartization(WEAK_TRIANGLE, seed=5)
     x = extract_coloring(out)
     sums = row_sums(WEAK_TRIANGLE, x)
-    excluded_labels = {l for _, _, l in out.state.excluded}
+    excluded_labels = {l for _, _, l in out.excluded}
     for l, s in enumerate(sums):
         assert abs(s) == (2 if l in excluded_labels else 0)
     assert cut_weight(WEAK_TRIANGLE, x) == 2 == oracle_max_cut_weight(WEAK_TRIANGLE)
@@ -297,12 +297,14 @@ def test_extracted_coloring_edge_free_all_plus():
     assert tuple(extract_coloring(out).values) == (1, 1, 1, 1)
 
 
-def _assert_h_bipartite(state):
+def _assert_h_bipartite(out):
     # Independent parity check of skeleton minus excluded via fresh BFS.
     adj = {}
-    for (u, v), _labels in state.available_edges().items():
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
+    for l, matching in enumerate(out.matchings):
+        for u, v in matching:
+            if (u, v, l) not in out.excluded:
+                adj.setdefault(u, []).append(v)
+                adj.setdefault(v, []).append(u)
     color = {}
     for start in adj:
         if start in color:
@@ -325,16 +327,15 @@ def test_terminated_runs_satisfy_structure_invariants(trial):
     R = sample_matrix(ModelParams.from_c(n, 0.6), derive_seed(7000, trial))
     out = weak_bipartization(R, derive_seed(7001, trial))
     assert out.terminated  # c < 1 keeps this overwhelmingly likely at this size
-    state = out.state
-    for l, matching in enumerate(state.matchings):
+    for l, matching in enumerate(out.matchings):
         assert len(matching) == len(R.label_sets[l]) // 2
-    for _, _, l in state.excluded:
+    for _, _, l in out.excluded:
         assert len(R.label_sets[l]) == 2
-    _assert_h_bipartite(state)
+    _assert_h_bipartite(out)
 
     x = extract_coloring(out)
     sums = row_sums(R, x)
-    excluded_labels = {l for _, _, l in state.excluded}
+    excluded_labels = {l for _, _, l in out.excluded}
     for l, s in enumerate(sums):
         if l not in excluded_labels:
             assert abs(s) <= 1

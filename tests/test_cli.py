@@ -160,11 +160,12 @@ def test_experiment_strict_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_invalid_inputs_exit_one(tmp_path, capsys):
+def test_invalid_inputs_exit_one(matrix_file, tmp_path, capsys):
     assert main(["solve", "--algo", "exact", "--in", str(tmp_path / "missing")]) == 1
     bad = tmp_path / "bad.wrig"
     bad.write_text("BOGUS\n")
     assert main(["solve", "--algo", "exact", "--in", str(bad)]) == 1
     assert main(["solve", "--algo", "warp", "--in", str(bad)]) == 1
     assert main(["experiment", "--spec", str(tmp_path / "missing.json")]) == 1
+    assert main(["bipartize", "--in", str(matrix_file), "--max-rematch", "-7"]) == 1
     capsys.readouterr()

@@ -52,7 +52,8 @@ def test_alpha_sweep_with_rule():
 
 
 def test_c_sweep_sets_m_and_p():
-    spec = make_spec(regime="c-sweep", n=[100], c=[0.5, 2.0])
+    spec = make_spec(regime="c-sweep", n=[100], c=[0.5, 2.0], algorithms="bipartize")
+    assert spec.algorithms == ("bipartize",)
     assert [(g.n, g.m, g.p) for g in spec.grid] == [(100, 100, 0.005), (100, 100, 0.02)]
     assert spec.grid[1].derivation == ("c", 2.0)
 
@@ -69,6 +70,9 @@ def test_c_sweep_sets_m_and_p():
         {"regime": "alpha-sweep", "alpha": 0.5, "p_rule": "nope"},
         {"epsilon": 2.0},
         {"workers": -1},
+        {"max_rematch": -3},
+        {"exact_cap": 0},
+        {"exact_cap": -1},
     ],
 )
 def test_invalid_specs_rejected(overrides):
