@@ -189,30 +189,48 @@ def test_exact_oracle_csv_is_pinned(tmp_path, n, m, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of the random + majority CSV captured from the tuple-backed core,
-# one sparse-path and one dense-path sampler config; trials 0 and 100 are
-# audited, so the coloring text round trip runs too.
+ALPHA_HALF_2_16 = {"regime": "alpha-sweep", "n": 2**16, "alpha": 0.5, "p_rule": "inv_sqrt_nm"}
+
+
+# sha256 of the random + majority CSV.  The first two were captured from the
+# tuple-backed core, one sparse-path and one dense-path sampler config.  The
+# n = 2^16 pair (m = 256, ~16 ones per label, ~97 % of labelled vertices in
+# one label) was captured from the per-vertex majority loop; at epsilon 0.3
+# the random prefix ends inside most labels' runs of single-label vertices.
+# Trials 0 and 100 are audited, so the coloring text round trip runs too.
 @pytest.mark.parametrize(
-    "config, digest",
+    "config, epsilon, digest",
     [
         (
             {"regime": "alpha-sweep", "n": 4096, "alpha": 0.5, "p_rule": "inv_sqrt_nm"},
+            0.01,
             "fbf43a2a06732293e3a32ec2bf1817ad5cbeec1292bf2583591668ad1954acf4",
         ),
         (
             {"regime": "fixed", "n": 300, "m": 20, "p": 0.15},
+            0.01,
             "c8d6f47d63002c2c6fa305e51c4bb69fbd9571b811051cd261b7cc33b42d9a2a",
         ),
+        (
+            ALPHA_HALF_2_16,
+            0.01,
+            "baef5f232d6da2d8cd3a44758682133b8e364cc2298813f37b83ec523c86fc19",
+        ),
+        (
+            ALPHA_HALF_2_16,
+            0.3,
+            "20340d1539599b8a0426fd2a57fb91539ff058d3e8452cfaabcbc0ea9f737848",
+        ),
     ],
-    ids=["sparse_alpha_half", "dense_fixed"],
+    ids=["sparse_alpha_half", "dense_fixed", "long_runs", "long_runs_split_by_prefix"],
 )
-def test_heuristic_csv_is_pinned(tmp_path, config, digest):
+def test_heuristic_csv_is_pinned(tmp_path, config, epsilon, digest):
     out = tmp_path / "golden.csv"
     spec = ExperimentSpec.from_dict(
         dict(
             config,
             algorithms=["random", "majority"],
-            epsilon=0.01,
+            epsilon=epsilon,
             trials=120,
             seed=2009,
             output=str(out),
