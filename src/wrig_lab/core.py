@@ -2,8 +2,8 @@
 cut weight, squared norm, and discrepancy.
 
 A representation matrix is a sparse 0/1 label-by-vertex matrix R held as
-read-only int64 CSR arrays (``indptr``, ``indices``); its CSC transpose and
-the per-label vertex tuples are derived from them on first use.  A coloring
+read-only int64 CSR arrays (``indptr``, ``indices``); the per-label vertex
+tuples are derived from them on first use.  A coloring
 is a read-only int8 array of +1/-1 entries.  All evaluators are exact
 integer arithmetic in int64: the cut identity 4*cut + |Rx|^2 == sum(R^T R)
 must hold bit-exactly, so no floating point is used anywhere here.
@@ -99,18 +99,6 @@ class RepresentationMatrix:
         indptr = offsets(np.array([len(r) for r in rows], dtype=np.int64))
         flat = [v for r in rows for v in r]
         return cls.from_csr(n, indptr, np.array(flat, dtype=np.int64))
-
-    @cached_property
-    def csc(self) -> tuple[np.ndarray, np.ndarray]:
-        """Column view ``(colptr, labels)``: vertex v chose the labels
-        ``labels[colptr[v]:colptr[v+1]]``, in ascending order."""
-        colptr = offsets(np.bincount(self.indices, minlength=self.n))
-        rows = np.repeat(np.arange(self.m, dtype=np.int64), self.sizes)
-        # Column-major grid positions v*m + l are distinct, so one plain sort
-        # orders the entries by vertex, then by label.
-        labels = np.sort(self.indices * self.m + rows) % self.m
-        colptr.flags.writeable = labels.flags.writeable = False
-        return colptr, labels
 
     @cached_property
     def label_sets(self) -> tuple[tuple[int, ...], ...]:

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Coloring, RepresentationMatrix, cut_weight
+from .core import Coloring, RepresentationMatrix, cut_weight, offsets
 from .sampling import Seed, derive_rng
 
 DEFAULT_BRUTE_FORCE_CAP = 24
@@ -24,6 +24,7 @@ DEFAULT_BRUTE_FORCE_CAP = 24
 # per score, so 2^11 keeps them near half a MiB at m = 16; larger blocks
 # raise the peak memory of every trial and are no faster.
 _BLOCK_SCORES = 1 << 11
+
 
 
 CUT_ALGORITHMS = ("random", "majority", "exact", "mindisc")
@@ -48,12 +49,23 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
     """Greedy majority coloring.
 
     After a random prefix of floor(epsilon*n) vertices (epsilon in [0, 1];
-    at 1 the whole coloring is random), each vertex v gets the color
+    at 1 the whole coloring is random), each vertex v in turn gets the color
     opposing the signed weight of its already-colored neighborhood,
     z = sum over colored u of |S_u cap S_v| * x_u, with ties (z == 0) going
-    to -1.  z is accumulated through per-label color sums, so one step costs
-    O(|S_v|) after the label bookkeeping.  Only vertices with labels need
-    the sweep: every other vertex keeps its prefix color, or gets -1 (z = 0).
+    to -1.  z is the sum of v's label sums, each label's color sum over its
+    vertices colored so far.  A vertex without labels keeps its prefix color
+    or gets -1 (z = 0).
+
+    A vertex past the prefix with one label l takes -1 if l's sum s >= 0,
+    else +1.  So a run of such vertices of l has closed-form colors: from
+    s >= 0 they take -1 until the sum reaches -1, from s < 0 they take +1
+    until it reaches 0, and from there they alternate.  The run's j-th
+    vertex (from 0) takes +1 exactly when j + s < 0, or when j > s and
+    j + s is odd.  When ``_runs_pay`` finds enough single-label vertices
+    against multi-label ones in R, ``_sweep_runs`` visits only the
+    multi-label vertices past the prefix, in order, and colors the runs
+    between them by array arithmetic.  Otherwise ``_sweep_vertices`` visits
+    every labelled vertex.  Both give the same coloring.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
@@ -63,16 +75,58 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
     signs = np.full(n, -1, dtype=np.int8)
     if prefix:
         signs[:prefix] = rng.integers(0, 2, size=prefix) * 2 - 1
+    if len(R.indices):
+        view = _ColumnView(R)
+        n_single = int(np.count_nonzero(view.alone))
+        n_multi = len(view.starts) - n_single
+        sweep = _sweep_runs if _runs_pay(n_single, n_multi) else _sweep_vertices
+        sweep(R, view, signs, prefix)
+    x = Coloring(signs)
+    return CutResult(coloring=x, weight=cut_weight(R, x))
 
-    colptr, labels = R.csc
-    labelled = np.flatnonzero(np.diff(colptr))
-    starts = colptr[labelled].tolist()
-    ends = colptr[labelled + 1].tolist()
-    flat = labels.tolist()
-    label_sums = [0] * R.m
+
+def _runs_pay(n_single: int, n_multi: int) -> bool:
+    """Whether coloring runs in closed form beats visiting every vertex.
+
+    Timed on sampled matrices with n from 100 to 5000: the closed form's
+    array work costs about as much as 128 single-label steps of the vertex
+    loop, and each multi-label vertex costs it about two such steps more
+    than the loop pays for it.
+    """
+    return n_single > 2 * n_multi + 128
+
+
+class _ColumnView:
+    """The entries of R grouped by vertex.  ``rows[p]`` is the label of CSR
+    position p.  ``order`` holds the CSR positions sorted by vertex,
+    ``by_vertex`` their vertices; ``first`` marks the first entry of each
+    vertex and ``alone`` the entries of vertices with one label; ``starts``
+    indexes the first entries."""
+
+    def __init__(self, R: RepresentationMatrix):
+        vertices = R.indices
+        self.rows = np.repeat(np.arange(R.m), R.sizes)
+        self.order = np.argsort(vertices)
+        self.by_vertex = by_vertex = vertices[self.order]
+        self.first = first = np.empty(len(by_vertex), dtype=bool)
+        first[0] = True
+        np.not_equal(by_vertex[1:], by_vertex[:-1], out=first[1:])
+        self.alone = alone = first.copy()
+        alone[:-1] &= first[1:]
+        self.starts = np.flatnonzero(first)
+
+
+def _sweep_vertices(
+    R: RepresentationMatrix, view: _ColumnView, signs: np.ndarray, prefix: int
+) -> None:
+    """Visit every labelled vertex in order, prefix included."""
+    labels = view.rows[view.order].tolist()
+    bounds = view.starts.tolist() + [len(labels)]
+    labelled = view.by_vertex[view.starts]
     colors = signs[labelled].tolist()
-    for i, (v, start, end) in enumerate(zip(labelled.tolist(), starts, ends)):
-        vertex_labels = flat[start:end]
+    label_sums = [0] * R.m
+    for i, (v, a, b) in enumerate(zip(labelled.tolist(), bounds, bounds[1:])):
+        vertex_labels = labels[a:b]
         if v >= prefix:
             z = 0
             for l in vertex_labels:
@@ -83,8 +137,75 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
             label_sums[l] += xv
     signs[labelled] = colors
 
-    x = Coloring(signs)
-    return CutResult(coloring=x, weight=cut_weight(R, x))
+
+def _sweep_runs(
+    R: RepresentationMatrix, view: _ColumnView, signs: np.ndarray, prefix: int
+) -> None:
+    """Visit the multi-label vertices past the prefix; color runs in bulk."""
+    indptr, vertices = R.indptr, R.indices
+    past = vertices >= prefix
+    # A label's prefix vertices head its row: start from their color sum.
+    pre = np.flatnonzero(~past)
+    heads = offsets(signs[vertices[pre]])[np.searchsorted(pre, indptr)]
+    start = heads[1:] - heads[:-1]
+    single = np.empty(len(vertices), dtype=bool)
+    single[view.order] = view.alone
+    single &= past
+    # singles_before[p]: single-label entries past the prefix at CSR
+    # positions before p.
+    singles_before = offsets(single)
+
+    visit = ~view.alone & (view.by_vertex >= prefix)
+    steps = view.order[visit]
+    step_vertices = view.by_vertex[visit]
+    firsts = np.flatnonzero(view.first[visit])
+    bounds = firsts.tolist() + [len(steps)]
+    labels = view.rows[steps].tolist()
+    seen = singles_before[steps].tolist()
+    # advanced[l]: label l's single-label entries already in label_sums[l]
+    advanced = singles_before[indptr[:-1]].tolist()
+    label_sums = start.tolist()
+    after = []
+    colors = []
+    for a, b in zip(bounds, bounds[1:]):
+        vertex_labels = labels[a:b]
+        z = 0
+        for l, c in zip(vertex_labels, seen[a:b]):
+            s = label_sums[l]
+            k = c - advanced[l]
+            if k:  # l's run since its last visit: k single-label vertices
+                if s >= 0:
+                    s = s - k if k <= s else -((s + k) & 1)
+                else:
+                    s = s + k if k <= -s else -((s + k) & 1)
+                label_sums[l] = s
+                advanced[l] = c
+            z += s
+        xv = -1 if z >= 0 else 1
+        colors.append(xv)
+        for l in vertex_labels:
+            label_sums[l] += xv
+            after.append(label_sums[l])
+    signs[step_vertices[firsts]] = colors
+
+    # A single-label entry's run starts at its anchor: its row's head or
+    # its label's last visited vertex before it.  s is the label sum there,
+    # j the number of the run's vertices before this one.
+    filled = np.flatnonzero(R.sizes)
+    row_heads = indptr[filled]
+    anchor = np.zeros(len(vertices), dtype=np.int64)
+    anchor[row_heads] = row_heads
+    anchor[steps] = steps
+    np.maximum.accumulate(anchor, out=anchor)
+    anchor_sums = np.empty(len(vertices), dtype=np.int64)
+    anchor_sums[row_heads] = start[filled]
+    anchor_sums[steps] = after
+    q = np.flatnonzero(single)
+    a = anchor[q]
+    s = anchor_sums[a]
+    j = singles_before[q] - singles_before[a]
+    t = j + s
+    signs[vertices[q]] = np.where((t < 0) | ((t % 2 == 1) & (j > s)), 1, -1)
 
 
 def beta_lower_bound(c: float) -> float:

@@ -59,6 +59,15 @@ def cut_weight_direct(G: WeightedIntersectionGraph, x: Coloring) -> int:
     return sum(w for u, v, w in G.edges if vals[u] != vals[v])
 
 
+def vertex_label_sets(R: RepresentationMatrix) -> tuple[tuple[int, ...], ...]:
+    """Per-vertex ascending label tuples: the transpose of ``R.label_sets``."""
+    vertex_sets: list[list[int]] = [[] for _ in range(R.n)]
+    for l, L in enumerate(R.label_sets):
+        for v in L:
+            vertex_sets[v].append(l)
+    return tuple(map(tuple, vertex_sets))
+
+
 def majority_reference(R: RepresentationMatrix, epsilon: float, seed: Seed) -> tuple[int, ...]:
     """Majority coloring by a plain loop over every vertex, labelled or not.
 
@@ -68,10 +77,7 @@ def majority_reference(R: RepresentationMatrix, epsilon: float, seed: Seed) -> t
     n = R.n
     prefix = math.floor(epsilon * n + 1e-9)
     random_colors = (rng.integers(0, 2, size=prefix) * 2 - 1).tolist() if prefix else []
-    vertex_sets: list[list[int]] = [[] for _ in range(n)]
-    for l, L in enumerate(R.label_sets):
-        for v in L:
-            vertex_sets[v].append(l)
+    vertex_sets = vertex_label_sets(R)
     signs = [0] * n
     label_sums = [0] * R.m
     for v in range(n):

@@ -14,6 +14,7 @@ from helpers import (
 )
 from wrig_lab import cuts
 from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy
+from wrig_lab.sampling import derive_rng
 from wrig_lab.cuts import (
     beta_lower_bound,
     brute_force_max_cut,
@@ -88,6 +89,19 @@ def test_majority_epsilon_one_matches_random_in_distribution():
     assert abs(maj.mean() - rnd.mean()) <= 4 * se
 
 
+# majority_cut either colors single-label runs in closed form or visits
+# every labelled vertex, as ``_runs_pay`` decides from R; these force each.
+SWEEPS = {"runs": lambda n_single, n_multi: True, "vertices": lambda n_single, n_multi: False}
+
+
+def majority_colors(R, epsilon, seed, sweep):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "_runs_pay", SWEEPS[sweep])
+        res = majority_cut(R, epsilon, seed)
+    assert res.weight == cut_weight(R, res.coloring)
+    return tuple(res.coloring.values.tolist())
+
+
 def test_majority_skips_unlabelled_vertices_like_the_full_loop():
     # Vertices 1 and 3 lie inside the random prefix of 4, vertices 6, 9 and
     # 10 past it; none of them has a label.
@@ -98,6 +112,8 @@ def test_majority_skips_unlabelled_vertices_like_the_full_loop():
     for seed in range(40):
         res = majority_cut(R, 4 / 11, seed)
         assert tuple(res.coloring.values) == majority_reference(R, 4 / 11, seed)
+        for sweep in SWEEPS:
+            assert majority_colors(R, 4 / 11, seed, sweep) == majority_reference(R, 4 / 11, seed)
 
 
 @settings(deadline=None, max_examples=80)
@@ -105,6 +121,75 @@ def test_majority_skips_unlabelled_vertices_like_the_full_loop():
 def test_majority_matches_the_full_loop(R, epsilon):
     res = majority_cut(R, epsilon, 17)
     assert tuple(res.coloring.values) == majority_reference(R, epsilon, 17)
+    for sweep in SWEEPS:
+        assert majority_colors(R, epsilon, 17, sweep) == majority_reference(R, epsilon, 17)
+
+
+@st.composite
+def run_matrices(draw):
+    """Few labels; most vertices in exactly one, a handful in several."""
+    n = draw(st.integers(min_value=1, max_value=300))
+    m = draw(st.integers(min_value=1, max_value=4))
+    own = draw(st.lists(st.integers(-1, m - 1), min_size=n, max_size=n))
+    label_sets = [{v for v in range(n) if own[v] == l} for l in range(m)]
+    extra = st.tuples(st.integers(0, n - 1), st.sets(st.integers(0, m - 1), min_size=1))
+    for v, labels in draw(st.lists(extra, max_size=8)):
+        for l in labels:
+            label_sets[l].add(v)
+    return RepresentationMatrix.from_label_sets(n, label_sets)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@settings(deadline=None, max_examples=60)
+@given(run_matrices(), st.sampled_from([0.0, 0.01, 0.1, 0.3, 1.0]), st.integers(0, 2**32))
+def test_majority_runs_match_the_full_loop(sweep, R, epsilon, seed):
+    assert majority_colors(R, epsilon, seed, sweep) == majority_reference(R, epsilon, seed)
+
+
+# Label 0 holds every vertex; every 7th vertex also has label 1, so label 0
+# alternates 28 times between a run and a multi-label vertex.
+ALTERNATING = RepresentationMatrix.from_label_sets(200, [range(200), range(3, 200, 7)])
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@pytest.mark.parametrize(
+    "R, epsilon",
+    [
+        (ALTERNATING, 0.0),
+        (ALTERNATING, 0.1),
+        # The prefix of 25 ends inside label 0's run between vertices 10 and 40.
+        (RepresentationMatrix.from_label_sets(50, [range(50), [10, 40]]), 0.5),
+        # Label 0's vertices all lie in the prefix of 10; vertex 2 also has
+        # label 1, whose run follows.
+        (RepresentationMatrix.from_label_sets(50, [[0, 2, 5], [2, *range(12, 50)]]), 0.2),
+        (RepresentationMatrix.from_label_sets(9, []), 0.0),
+        (RepresentationMatrix.from_label_sets(9, []), 0.5),
+    ],
+    ids=[
+        "alternating",
+        "alternating_prefix",
+        "prefix_ends_in_run",
+        "label_in_prefix",
+        "no_labels",
+        "no_labels_prefix",
+    ],
+)
+def test_majority_run_cases_match_the_full_loop(sweep, R, epsilon):
+    for seed in range(20):
+        assert majority_colors(R, epsilon, seed, sweep) == majority_reference(R, epsilon, seed)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_majority_runs_from_positive_zero_and_negative_sums(sweep):
+    # A prefix of 20 fixes label 0's sum where its run of 60 single-label
+    # vertices starts; label 1 joins label 0 at vertex 50, mid-run.
+    R = RepresentationMatrix.from_label_sets(80, [range(80), [3, 50, 51]])
+    starts = set()
+    for seed in range(60):
+        prefix_sum = int((derive_rng(seed).integers(0, 2, size=20) * 2 - 1).sum())
+        starts.add((prefix_sum > 0) - (prefix_sum < 0))
+        assert majority_colors(R, 0.25, seed, sweep) == majority_reference(R, 0.25, seed)
+    assert starts == {-1, 0, 1}
 
 
 def test_majority_config_validation():
