@@ -3,10 +3,10 @@ cut weight, squared norm, and discrepancy.
 
 A representation matrix is a sparse 0/1 label-by-vertex matrix R held as
 read-only int64 CSR arrays (``indptr``, ``indices``); the per-label vertex
-tuples are derived from them on first use.  A coloring
-is a read-only int8 array of +1/-1 entries.  All evaluators are exact
-integer arithmetic in int64: the cut identity 4*cut + |Rx|^2 == sum(R^T R)
-must hold bit-exactly, so no floating point is used anywhere here.
+tuples are derived from them on first use.  A coloring is a read-only int8
+array of +1/-1 entries.  All evaluators are exact integer arithmetic in
+int64: the cut identity 4*cut + |Rx|^2 == sum(R^T R) must hold bit-exactly,
+so no floating point is used anywhere here.
 Vertices and labels are 0-based internally; 1-based indices appear only in
 the text formats (see ``wrig_lab.textio``).
 """

@@ -26,7 +26,6 @@ DEFAULT_BRUTE_FORCE_CAP = 24
 _BLOCK_SCORES = 1 << 11
 
 
-
 CUT_ALGORITHMS = ("random", "majority", "exact", "mindisc")
 
 

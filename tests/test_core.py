@@ -9,6 +9,7 @@ from helpers import (
     matrices_with_colorings,
     vertex_label_sets,
 )
+from wrig_lab import cuts
 from wrig_lab.core import (
     Coloring,
     RepresentationMatrix,
@@ -166,6 +167,15 @@ def test_transpose_views_agree():
     R = RepresentationMatrix.from_label_sets(5, [[0, 2, 4], [1, 2], [], [4]])
     vertex_sets = vertex_label_sets(R)
     assert vertex_sets == ((0,), (1,), (0, 1), (), (0, 3))
+    # The majority sweep's view: entries grouped by vertex, lone labels marked.
+    view = cuts._ColumnView(R)
+    bounds = view.starts.tolist() + [R.diagonal_sum()]
+    labels = view.rows[view.order]
+    groups = {
+        int(view.by_vertex[a]): tuple(sorted(labels[a:b])) for a, b in zip(bounds, bounds[1:])
+    }
+    assert groups == {v: S for v, S in enumerate(vertex_sets) if S}
+    assert view.by_vertex[view.alone].tolist() == [0, 1]
     assert R.label_sets == ((0, 2, 4), (1, 2), (), (4,))
     for l, L in enumerate(R.label_sets):
         for v in L:
