@@ -1,6 +1,8 @@
 import hashlib
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +58,58 @@ def test_c_sweep_sets_m_and_p():
     assert spec.algorithms == ("bipartize",)
     assert [(g.n, g.m, g.p) for g in spec.grid] == [(100, 100, 0.005), (100, 100, 0.02)]
     assert spec.grid[1].derivation == ("c", 2.0)
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def _readme_config():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+# (n, m, repr(p)) of every grid point, captured before the config rules
+# were gathered into one grid expansion.
+@pytest.mark.parametrize(
+    "load, grid",
+    [
+        (
+            lambda: json.loads((REPO / "experiments/alpha_half_trend.json").read_text()),
+            [
+                (4096, 64, "0.001953125"),
+                (16384, 128, "0.0006905339660024878"),
+                (65536, 256, "0.000244140625"),
+                (262144, 512, "8.631674575031097e-05"),
+            ],
+        ),
+        (
+            _readme_config,
+            [(1000, 1000, "0.00025"), (1000, 1000, "0.0005"), (1000, 1000, "0.00075")],
+        ),
+        (
+            lambda: {
+                "regime": "alpha-sweep",
+                "n": [100, 1000],
+                "alpha": [0.5, 0.75],
+                "p": [0.01, 0.05],
+            },
+            [
+                (100, 10, "0.01"),
+                (100, 10, "0.05"),
+                (100, 31, "0.01"),
+                (100, 31, "0.05"),
+                (1000, 31, "0.01"),
+                (1000, 31, "0.05"),
+                (1000, 177, "0.01"),
+                (1000, 177, "0.05"),
+            ],
+        ),
+    ],
+    ids=["alpha_half_trend", "readme_example", "alpha_sweep_explicit_p"],
+)
+def test_shipped_configs_expand_as_pinned(load, grid):
+    spec = ExperimentSpec.from_dict(load())
+    assert [(g.n, g.m, repr(g.p)) for g in spec.grid] == grid
 
 
 @pytest.mark.parametrize(
