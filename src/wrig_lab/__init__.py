@@ -13,6 +13,7 @@ from .bipartization import (
 )
 from .core import (
     Coloring,
+    InputError,
     RepresentationMatrix,
     cut_weight,
     discrepancy,
@@ -50,6 +51,7 @@ __all__ = [
     "Coloring",
     "CutResult",
     "ExperimentSpec",
+    "InputError",
     "ModelParams",
     "RepresentationMatrix",
     "Seed",

@@ -19,7 +19,7 @@ from typing import Collection, Optional, Sequence
 
 import numpy as np
 
-from .core import Coloring, RepresentationMatrix
+from .core import Coloring, InputError, RepresentationMatrix
 from .sampling import Seed, derive_rng
 
 Pair = tuple[int, int]
@@ -35,6 +35,16 @@ SEQUENCE_MAX_N = 12
 def default_max_rematch(n: int) -> int:
     """Generous re-matching budget: max(1000, 10 n ceil(log2(n+2)))."""
     return max(1000, 10 * n * math.ceil(math.log2(n + 2)))
+
+
+def _strong_labels(R: RepresentationMatrix) -> list[bool]:
+    """Per label: is it strong, i.e. chosen by at least STRONG_MIN_SIZE vertices?"""
+    return (R.sizes >= STRONG_MIN_SIZE).tolist()
+
+
+def _members(R: RepresentationMatrix, label: int) -> np.ndarray:
+    """The sorted vertices of ``label``: its slice of the CSR indices."""
+    return R.indices[R.indptr[label] : R.indptr[label + 1]]
 
 
 def random_maximal_matching(
@@ -78,12 +88,13 @@ class VertexLabelSequence:
         """Canonical sequence of a cycle whose i-th label covers the pair
         (vertices[i], vertices[i+1]); the caller guarantees the coverage."""
         if len(vertices) != len(labels):
-            raise ValueError("need one label per consecutive vertex pair")
+            raise InputError("need one label per consecutive vertex pair")
         j = min(range(len(vertices)), key=vertices.__getitem__)
+        strong = _strong_labels(R)
         return cls(
             vertices=tuple(vertices[j:]) + tuple(vertices[:j]),
             labels=tuple(labels[j:]) + tuple(labels[:j]),
-            strength=sum(len(R.label_sets[l]) >= STRONG_MIN_SIZE for l in labels),
+            strength=sum(strong[l] for l in labels),
         )
 
     def __len__(self) -> int:
@@ -220,7 +231,7 @@ def find_codd_member(
     since re-matching that label is the only available fix.
     """
     pairs, adj = _skeleton(R.n, matchings)
-    strong = [len(L) >= STRONG_MIN_SIZE for L in R.label_sets]
+    strong = _strong_labels(R)
     zero_strong: list[VertexLabelSequence] = []
     excluded: set[ExcludedEdge] = set()
     recorded_labels: set[int] = set()
@@ -267,10 +278,10 @@ def weak_bipartization(
     if max_rematch is None:
         max_rematch = default_max_rematch(R.n)
     elif max_rematch < 0:
-        raise ValueError(f"max_rematch must be >= 0, got {max_rematch}")
+        raise InputError(f"max_rematch must be >= 0, got {max_rematch}")
     rng = derive_rng(seed)
-    label_sets = R.label_sets
-    matchings = [random_maximal_matching(L, rng) for L in label_sets]
+    strong = _strong_labels(R)
+    matchings = [random_maximal_matching(_members(R, l), rng) for l in range(R.m)]
     iterations = 0
     encountered: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     while True:
@@ -284,8 +295,8 @@ def weak_bipartization(
         if iterations >= max_rematch:
             terminated = False
             break
-        label = min(l for l in member.labels if len(label_sets[l]) >= STRONG_MIN_SIZE)
-        matchings[label] = random_maximal_matching(label_sets[label], rng)
+        label = min(l for l in member.labels if strong[l])
+        matchings[label] = random_maximal_matching(_members(R, label), rng)
         iterations += 1
     return BipartizationOutcome(
         terminated=terminated,
@@ -308,7 +319,7 @@ def extract_coloring(outcome: BipartizationOutcome) -> Coloring:
     excluded weak label ends up monochromatic.
     """
     if not outcome.terminated:
-        raise ValueError("cannot extract a coloring from a non-terminated run")
+        raise InputError("cannot extract a coloring from a non-terminated run")
     n = outcome.R.n
     _, adj = _skeleton(n, outcome.matchings, outcome.excluded)
     signs = [0] * n
@@ -335,7 +346,7 @@ def expected_sequence_count(n: int, m: int, p: float, k: int) -> float:
     rotations of a cycle are identified, reflections are not.
     """
     if not 1 <= k <= min(n, m):
-        raise ValueError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got {k}")
+        raise InputError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got {k}")
     if p == 0.0:
         return 0.0
     log_value = (
@@ -358,11 +369,11 @@ def count_sequences_exact(R: RepresentationMatrix, k: int) -> int:
     ``SEQUENCE_MAX_K`` and ``SEQUENCE_MAX_N``.
     """
     if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+        raise InputError(f"k must be >= 1, got {k}")
     if k > SEQUENCE_MAX_K:
-        raise ValueError(f"k={k} exceeds the cap {SEQUENCE_MAX_K}")
+        raise InputError(f"k={k} exceeds the cap {SEQUENCE_MAX_K}")
     if R.n > SEQUENCE_MAX_N:
-        raise ValueError(f"n={R.n} exceeds the cap {SEQUENCE_MAX_N}")
+        raise InputError(f"n={R.n} exceeds the cap {SEQUENCE_MAX_N}")
     if k > R.n or k > R.m:
         return 0
     if k == 1:

@@ -5,9 +5,10 @@ algorithm on a matrix file), ``bipartize`` (run weak bipartization),
 ``count-sequences`` (exact or expected closed-cycle counts), and
 ``experiment`` (run a config-driven Monte Carlo sweep).
 
-Exit codes: 0 on success, 1 on invalid input, 2 on runtime failure (out of
-memory included), 3 when bipartization failed to terminate and --strict was
-given.
+Exit codes: 0 on success, 1 on invalid input (an ``InputError``, a missing
+or non-UTF-8 file), 2 on runtime failure (any other ``ValueError``, an
+``OSError``, a ``RuntimeError``, out of memory), 3 when bipartization failed
+to terminate and --strict was given.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import bipartization, cuts, experiment, textio
-from .core import cut_weight, discrepancy
-from .sampling import ModelParams, sample_matrix
+from .core import InputError, cut_weight, discrepancy
+from .sampling import sample_matrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -28,13 +29,9 @@ EXIT_RUNTIME = 2
 EXIT_NONTERMINATION = 3
 
 
-class CliError(Exception):
-    """Invalid command line or input file."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we want exit code 1
-        raise CliError(message)
+        raise InputError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,20 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _sample_params(args) -> ModelParams:
-    if args.c is not None:
-        if args.p is not None:
-            raise CliError("--p cannot be combined with --c")
-        return ModelParams.from_c(args.n, args.c)
-    if args.p is None:
-        raise CliError("--p is required unless --c is given")
-    if args.alpha is not None:
-        return ModelParams.from_alpha(args.n, args.alpha, args.p)
-    return ModelParams.fixed(args.n, args.m, args.p)
-
-
 def cmd_sample(args) -> int:
-    params = _sample_params(args)
+    given = {
+        key: getattr(args, key)
+        for key in ("n", "m", "p", "alpha", "c")
+        if getattr(args, key) is not None
+    }
+    # Whichever of --m, --alpha and --c is given names the regime.
+    regime = next(r for r, reads in experiment.REGIME_KEYS.items() if reads[0] in given)
+    [params] = experiment.expand_grid(dict(given, regime=regime))
     message = params.regime_warning()
     if message is not None:
         print(f"warning: {message}", file=sys.stderr)
@@ -173,12 +165,12 @@ def cmd_bipartize(args) -> int:
 def cmd_count_sequences(args) -> int:
     if args.expect:
         if args.n is None or args.m is None or args.p is None:
-            raise CliError("--expect needs --n, --m and --p")
+            raise InputError("--expect needs --n, --m and --p")
         value = bipartization.expected_sequence_count(args.n, args.m, args.p, args.k)
         print(repr(value))
     else:
         if not args.infile:
-            raise CliError("either --in or --expect is required")
+            raise InputError("either --in or --expect is required")
         R = textio.read_matrix(args.infile)
         print(bipartization.count_sequences_exact(R, args.k))
     return EXIT_OK
@@ -220,10 +212,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (CliError, ValueError, FileNotFoundError) as exc:
+    except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (OSError, RuntimeError) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except MemoryError:

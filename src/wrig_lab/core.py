@@ -20,6 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 
+class InputError(ValueError):
+    """Invalid input: a bad argument, config value or file content."""
+
+
 def offsets(counts: np.ndarray) -> np.ndarray:
     """CSR-style pointers: 0 followed by the running totals of ``counts``."""
     out = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -44,7 +48,7 @@ def _raise_first_fault(n: int, labels: np.ndarray, indices: np.ndarray) -> None:
     if len(outside):
         faults.append((labels[outside[0]], 2, f"has a vertex outside [0, {n})"))
     l, _, what = min(faults)
-    raise ValueError(f"label {l} {what}")
+    raise InputError(f"label {l} {what}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +76,14 @@ class RepresentationMatrix:
     ) -> "RepresentationMatrix":
         """Build and validate a matrix from CSR row pointers and vertex indices."""
         if n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {n}")
+            raise InputError(f"vertex count must be >= 1, got {n}")
         indptr = np.array(indptr, dtype=np.int64)
         indices = np.array(indices, dtype=np.int64)
         if indptr.ndim != 1 or indices.ndim != 1 or len(indptr) < 1:
-            raise ValueError("indptr and indices must be 1-d, indptr nonempty")
+            raise InputError("indptr and indices must be 1-d, indptr nonempty")
         sizes = indptr[1:] - indptr[:-1]
         if indptr[0] != 0 or indptr[-1] != len(indices) or sizes.min(initial=0) < 0:
-            raise ValueError("indptr must rise from 0 to len(indices)")
+            raise InputError("indptr must rise from 0 to len(indices)")
         m = len(sizes)
         if len(indices):
             labels = np.repeat(np.arange(m), sizes)
@@ -145,7 +149,7 @@ class Coloring:
         ok = (raw == 1) | (raw == -1)
         if not ok.all():
             bad = raw[~ok][0]
-            raise ValueError(f"coloring entries must be +1 or -1, got {bad}")
+            raise InputError(f"coloring entries must be +1 or -1, got {bad}")
         values = raw.astype(np.int8)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -167,7 +171,7 @@ class Coloring:
 
 def _check_length(R: RepresentationMatrix, x: Coloring) -> None:
     if len(x) != R.n:
-        raise ValueError(f"coloring has length {len(x)}, expected {R.n}")
+        raise InputError(f"coloring has length {len(x)}, expected {R.n}")
 
 
 def row_sums(R: RepresentationMatrix, x: Coloring) -> np.ndarray:

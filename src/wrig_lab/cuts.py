@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Coloring, RepresentationMatrix, cut_weight, offsets
+from .core import Coloring, InputError, RepresentationMatrix, cut_weight, offsets
 from .sampling import Seed, derive_rng
 
 DEFAULT_BRUTE_FORCE_CAP = 24
@@ -67,7 +67,7 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
     every labelled vertex.  Both give the same coloring.
     """
     if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+        raise InputError(f"epsilon must lie in [0, 1], got {epsilon}")
     rng = derive_rng(seed)
     n = R.n
     prefix = math.floor(epsilon * n + 1e-9)
@@ -215,13 +215,13 @@ def beta_lower_bound(c: float) -> float:
     p = c/n for large c; it decreases in c.
     """
     if c <= 0:
-        raise ValueError(f"c must be positive, got {c}")
+        raise InputError(f"c must be positive, got {c}")
     return math.sqrt(16.0 / (27.0 * math.pi * c**3))
 
 
 def _check_cap(R: RepresentationMatrix, cap: int) -> None:
     if R.n > cap:
-        raise ValueError(f"n={R.n} exceeds the brute-force cap {cap}")
+        raise InputError(f"n={R.n} exceeds the brute-force cap {cap}")
 
 
 def _coloring_from_mask(mask: int, n: int) -> Coloring:
@@ -335,4 +335,4 @@ def solve(
     if algo == "mindisc":
         coloring, _ = brute_force_min_discrepancy(R, cap=cap)
         return CutResult(coloring=coloring, weight=cut_weight(R, coloring))
-    raise ValueError(f"unknown cut algorithm {algo!r}, expected one of {CUT_ALGORITHMS}")
+    raise InputError(f"unknown cut algorithm {algo!r}, expected one of {CUT_ALGORITHMS}")

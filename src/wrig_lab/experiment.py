@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -21,17 +22,26 @@ from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from os import cpu_count
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from . import bipartization, cuts, textio
-from .core import Coloring, RepresentationMatrix, cut_weight, discrepancy
+from .core import Coloring, InputError, RepresentationMatrix, cut_weight, discrepancy
 from .sampling import ModelParams, label_count_for_alpha, sample_matrix
 
 ALGORITHMS = cuts.CUT_ALGORITHMS + ("bipartize",)
-REGIMES = ("fixed", "alpha-sweep", "c-sweep")
 P_RULES = ("inv_sqrt_nm",)
+
+# The grid keys each regime reads besides n; "a|b" takes exactly one of a, b.
+REGIME_KEYS = {
+    "fixed": ("m", "p"),
+    "alpha-sweep": ("alpha", "p|p_rule"),
+    "c-sweep": ("c",),
+}
+GRID_KEYS = {"regime", "n"} | {
+    key for reads in REGIME_KEYS.values() for need in reads for key in need.split("|")
+}
 
 CSV_SCHEMA_LINE = "# wrig-lab schema 1"
 
@@ -45,15 +55,15 @@ class ExperimentSpec:
     """Fully resolved experiment configuration.
 
     ``grid`` holds one ModelParams per grid point, already expanded from the
-    sweep description in the config file.  ``workers=0`` means one process
-    per CPU.
+    sweep description in the config file by ``expand_grid``; every other
+    field is a config key with its default.  ``workers=0`` means one
+    process per CPU.
     """
 
-    name: str
-    regime: str
     grid: tuple[ModelParams, ...]
-    trials: int
-    algorithms: tuple[str, ...]
+    name: str = "experiment"
+    trials: int = 1
+    algorithms: tuple[str, ...] = ("random",)
     epsilon: float = 0.0
     seed: int = 0
     max_rematch: Optional[int] = None
@@ -63,77 +73,47 @@ class ExperimentSpec:
     workers: int = 0
 
     def __post_init__(self):
-        if self.regime not in REGIMES:
-            raise ValueError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        for key in ("trials", "seed", "workers", "exact_cap"):
+            _check_number(key, getattr(self, key), numbers.Integral)
+        if self.max_rematch is not None:
+            _check_number("max_rematch", self.max_rematch, numbers.Integral)
+        _check_number("epsilon", self.epsilon, numbers.Real)
+        object.__setattr__(self, "algorithms", tuple(_as_list(self.algorithms)))
         if not self.grid:
-            raise ValueError("experiment grid is empty")
+            raise InputError("experiment grid is empty")
         if self.trials < 1:
-            raise ValueError(f"need trials >= 1, got {self.trials}")
+            raise InputError(f"need trials >= 1, got {self.trials}")
         if not self.algorithms:
-            raise ValueError("no algorithms selected")
+            raise InputError("no algorithms selected")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
+                raise InputError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
         if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+            raise InputError(f"epsilon must lie in [0, 1], got {self.epsilon}")
         if self.workers < 0:
-            raise ValueError(f"workers must be >= 0, got {self.workers}")
+            raise InputError(f"workers must be >= 0, got {self.workers}")
         if self.max_rematch is not None and self.max_rematch < 0:
-            raise ValueError(f"max_rematch must be >= 0, got {self.max_rematch}")
+            raise InputError(f"max_rematch must be >= 0, got {self.max_rematch}")
         if self.exact_cap < 1:
-            raise ValueError(f"exact_cap must be >= 1, got {self.exact_cap}")
+            raise InputError(f"exact_cap must be >= 1, got {self.exact_cap}")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        known = {
-            "name",
-            "regime",
-            "n",
-            "m",
-            "p",
-            "alpha",
-            "c",
-            "p_rule",
-            "trials",
-            "algorithms",
-            "epsilon",
-            "seed",
-            "max_rematch",
-            "exact_cap",
-            "output",
-            "summary",
-            "workers",
-        }
-        unknown = set(raw) - known
+    def from_dict(cls, raw: Mapping) -> "ExperimentSpec":
+        settings = {f.name for f in fields(cls)} - {"grid"}
+        unknown = set(raw) - settings - GRID_KEYS
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        regime = raw.get("regime", "fixed")
-        grid = tuple(_expand_grid(regime, raw))
-        return cls(
-            name=str(raw.get("name", "experiment")),
-            regime=regime,
-            grid=grid,
-            trials=int(raw.get("trials", 1)),
-            algorithms=tuple(_as_list(raw.get("algorithms", "random"))),
-            epsilon=float(raw.get("epsilon", 0.0)),
-            seed=int(raw.get("seed", 0)),
-            max_rematch=(
-                int(raw["max_rematch"]) if raw.get("max_rematch") is not None else None
-            ),
-            exact_cap=int(raw.get("exact_cap", cuts.DEFAULT_BRUTE_FORCE_CAP)),
-            output=raw.get("output"),
-            summary=raw.get("summary"),
-            workers=int(raw.get("workers", 0)),
-        )
+            raise InputError(f"unknown config keys: {sorted(unknown)}")
+        chosen = {key: value for key, value in raw.items() if key in settings}
+        return cls(grid=tuple(expand_grid(raw)), **chosen)
 
     @classmethod
     def from_file(cls, path: Union[str, Path]) -> "ExperimentSpec":
         try:
             raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise ValueError(f"config file {path} is not valid JSON: {exc}") from None
+            raise InputError(f"config file {path} is not valid JSON: {exc}") from None
         if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
+            raise InputError("config file must hold a JSON object")
         return cls.from_dict(raw)
 
 
@@ -141,43 +121,62 @@ def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
 
 
-def _expand_grid(regime: str, raw: dict) -> list[ModelParams]:
-    if "n" not in raw:
-        raise ValueError("config needs an 'n' value or list")
-    ns = [int(v) for v in _as_list(raw["n"])]
-    points: list[ModelParams] = []
+def _check_number(key: str, value, kind: type) -> None:
+    """InputError naming ``key`` unless ``value`` is a ``kind`` and no bool."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if kind is numbers.Integral else "a real number"
+        raise InputError(f"{key} must be {what}, got {value!r}")
+
+
+def _numbers(raw: Mapping, key: str, kind: type) -> list:
+    """The value or list under ``key`` as ints (Integral) or floats (Real)."""
+    values = _as_list(raw[key])
+    for value in values:
+        _check_number(key, value, kind)
+    return [int(v) if kind is numbers.Integral else float(v) for v in values]
+
+
+def expand_grid(raw: Mapping) -> list[ModelParams]:
+    """The grid points a config's ``regime`` and grid keys describe.
+
+    Lists are crossed in key order with n outermost.  An unknown regime, a
+    missing key, or a grid key the regime does not read is an InputError.
+    """
+    regime = raw.get("regime", "fixed")
+    if not isinstance(regime, str) or regime not in REGIME_KEYS:
+        raise InputError(f"regime must be one of {tuple(REGIME_KEYS)}, got {regime!r}")
+    reads = ("n",) + REGIME_KEYS[regime]
+    readable = {"regime"} | {key for need in reads for key in need.split("|")}
+    foreign = sorted(GRID_KEYS.intersection(raw) - readable)
+    if foreign:
+        raise InputError(f"{regime} regime does not read {foreign}; it reads {', '.join(reads)}")
+    for need in reads:
+        options = need.split("|")
+        given = [key for key in options if key in raw]
+        listed = " or ".join(repr(key) for key in options)
+        if not given:
+            raise InputError(f"{regime} regime needs {listed}")
+        if len(given) > 1:
+            raise InputError(f"{regime} regime takes {listed}, not both")
+
+    ns = _numbers(raw, "n", numbers.Integral)
     if regime == "fixed":
-        if "m" not in raw or "p" not in raw:
-            raise ValueError("fixed regime needs 'm' and 'p'")
-        for n in ns:
-            for m in _as_list(raw["m"]):
-                for p in _as_list(raw["p"]):
-                    points.append(ModelParams.fixed(n, int(m), float(p)))
-    elif regime == "alpha-sweep":
-        if "alpha" not in raw:
-            raise ValueError("alpha-sweep regime needs 'alpha'")
-        rule = raw.get("p_rule")
-        if rule is not None and rule not in P_RULES:
-            raise ValueError(f"p_rule must be one of {P_RULES}, got {rule!r}")
-        if rule is None and "p" not in raw:
-            raise ValueError("alpha-sweep regime needs 'p' or 'p_rule'")
-        for n in ns:
-            for alpha in _as_list(raw["alpha"]):
-                if rule == "inv_sqrt_nm":
-                    m = label_count_for_alpha(n, float(alpha))
-                    points.append(
-                        ModelParams.from_alpha(n, float(alpha), 1.0 / math.sqrt(n * m))
-                    )
-                else:
-                    for p in _as_list(raw["p"]):
-                        points.append(ModelParams.from_alpha(n, float(alpha), float(p)))
-    else:  # c-sweep
-        if "c" not in raw:
-            raise ValueError("c-sweep regime needs 'c'")
-        for n in ns:
-            for c in _as_list(raw["c"]):
-                points.append(ModelParams.from_c(n, float(c)))
-    return points
+        ms, ps = _numbers(raw, "m", numbers.Integral), _numbers(raw, "p", numbers.Real)
+        return [ModelParams.fixed(n, m, p) for n in ns for m in ms for p in ps]
+    if regime == "c-sweep":
+        cs = _numbers(raw, "c", numbers.Real)
+        return [ModelParams.from_c(n, c) for n in ns for c in cs]
+    alphas = _numbers(raw, "alpha", numbers.Real)
+    if "p" in raw:
+        ps = _numbers(raw, "p", numbers.Real)
+        return [ModelParams.from_alpha(n, a, p) for n in ns for a in alphas for p in ps]
+    if raw["p_rule"] not in P_RULES:
+        raise InputError(f"p_rule must be one of {P_RULES}, got {raw['p_rule']!r}")
+    return [
+        ModelParams.from_alpha(n, a, 1.0 / math.sqrt(n * label_count_for_alpha(n, a)))
+        for n in ns
+        for a in alphas
+    ]
 
 
 @dataclass(frozen=True)
@@ -419,7 +418,7 @@ def summarize(records: Sequence[TrialRecord], name: str = "") -> SummaryStats:
     variance uses the n-1 denominator.
     """
     if not records:
-        raise ValueError("cannot summarize zero records")
+        raise InputError("cannot summarize zero records")
     by_grid: dict[int, list[TrialRecord]] = {}
     for record in records:
         by_grid.setdefault(record.grid_id, []).append(record)

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import RepresentationMatrix, offsets
+from .core import InputError, RepresentationMatrix, offsets
 
 # Seeds are 64-bit unsigned values; derived streams are addressed by
 # (seed, *stream) tuples.
@@ -44,37 +44,17 @@ def derive_seed(seed: Seed, *stream: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters (n, m, p) of the random model, with optional provenance.
-
-    ``derivation`` records how (m, p) were obtained: ``("alpha", a)`` means
-    m = floor(n**a), ``("c", c)`` means m = n and p = c/n.
-    """
+    """Parameters (n, m, p) of the random model."""
 
     n: int
     m: int
     p: float
-    derivation: Optional[tuple[str, float]] = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
-            raise ValueError(f"need n, m >= 1, got n={self.n}, m={self.m}")
+            raise InputError(f"need n, m >= 1, got n={self.n}, m={self.m}")
         if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"need 0 <= p <= 1, got p={self.p}")
-        if self.derivation is not None:
-            kind, value = self.derivation
-            if kind == "alpha":
-                if self.m != label_count_for_alpha(self.n, value):
-                    raise ValueError(
-                        f"m={self.m} is not floor({self.n}**{value})"
-                    )
-            elif kind == "c":
-                if self.m != self.n or abs(self.p * self.n - value) >= 1e-9:
-                    raise ValueError(
-                        f"derivation c={value} needs m=n and p=c/n, "
-                        f"got m={self.m}, p={self.p}"
-                    )
-            else:
-                raise ValueError(f"unknown derivation kind {kind!r}")
+            raise InputError(f"need 0 <= p <= 1, got p={self.p}")
 
     @classmethod
     def fixed(cls, n: int, m: int, p: float) -> "ModelParams":
@@ -82,11 +62,13 @@ class ModelParams:
 
     @classmethod
     def from_alpha(cls, n: int, alpha: float, p: float) -> "ModelParams":
-        return cls(n=n, m=label_count_for_alpha(n, alpha), p=p, derivation=("alpha", alpha))
+        """m = floor(n**alpha)."""
+        return cls(n=n, m=label_count_for_alpha(n, alpha), p=p)
 
     @classmethod
     def from_c(cls, n: int, c: float) -> "ModelParams":
-        return cls(n=n, m=n, p=c / n, derivation=("c", c))
+        """m = n and p = c/n."""
+        return cls(n=n, m=n, p=c / n)
 
     def regime_warning(self) -> Optional[str]:
         """Message when p leaves the studied window [sqrt(1/nm), 1/sqrt(m)].

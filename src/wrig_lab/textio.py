@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Coloring, RepresentationMatrix
+from .core import Coloring, InputError, RepresentationMatrix
 
 MAGIC = "WRIG"
 FORMAT_VERSION = 1
@@ -40,40 +40,41 @@ def parse_matrix(text: str) -> RepresentationMatrix:
     stream = io.StringIO(text)
     header = stream.readline().split()
     if len(header) != 4 or header[0] != MAGIC:
-        raise ValueError("not a WRIG matrix file (bad header)")
+        raise InputError("not a WRIG matrix file (bad header)")
     try:
         version, m, n = int(header[1]), int(header[2]), int(header[3])
     except ValueError:
-        raise ValueError("not a WRIG matrix file (non-numeric header)") from None
+        raise InputError("not a WRIG matrix file (non-numeric header)") from None
     if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported WRIG format version {version}")
+        raise InputError(f"unsupported WRIG format version {version}")
     if m < 0 or n < 1:
-        raise ValueError(f"bad dimensions m={m}, n={n}")
+        raise InputError(f"bad dimensions m={m}, n={n}")
 
     label_sets: list[tuple[int, ...]] = []
     for expected in range(1, m + 1):
         line = stream.readline()
         if not line:
-            raise ValueError(f"expected {m} label lines, found {expected - 1}")
+            raise InputError(f"expected {m} label lines, found {expected - 1}")
         fields = line.split()
         if len(fields) < 2:
-            raise ValueError(f"label line {expected} is too short")
-        idx, size = int(fields[0]), int(fields[1])
+            raise InputError(f"label line {expected} is too short")
+        try:
+            idx, size, *listed = map(int, fields)
+        except ValueError:
+            raise InputError(f"label line {expected} has a non-integer field") from None
         if idx != expected:
-            raise ValueError(f"label line {expected} carries index {idx}")
-        if len(fields) != 2 + size:
-            raise ValueError(
-                f"label {idx} declares {size} vertices but lists {len(fields) - 2}"
-            )
-        vertices = tuple(int(f) - 1 for f in fields[2:])
+            raise InputError(f"label line {expected} carries index {idx}")
+        if len(listed) != size:
+            raise InputError(f"label {idx} declares {size} vertices but lists {len(listed)}")
+        vertices = tuple(v - 1 for v in listed)
         if any(v < 0 or v >= n for v in vertices):
-            raise ValueError(f"label {idx} has a vertex outside [1, {n}]")
+            raise InputError(f"label {idx} has a vertex outside [1, {n}]")
         if any(a >= b for a, b in zip(vertices, vertices[1:])):
-            raise ValueError(f"label {idx} vertices are not sorted ascending")
+            raise InputError(f"label {idx} vertices are not sorted ascending")
         label_sets.append(vertices)
     for line in stream:
         if line.strip():
-            raise ValueError("trailing content after the last label line")
+            raise InputError("trailing content after the last label line")
     return RepresentationMatrix.from_label_sets(n, label_sets)
 
 
@@ -103,9 +104,9 @@ def parse_coloring(text: str) -> Coloring:
         tokens = text.split()
         if not set(tokens) <= set(_COLORING_TOKENS):
             token = next(t for t in tokens if t not in _COLORING_TOKENS)
-            raise ValueError(f"coloring token must be +1 or -1, got {token!r}")
+            raise InputError(f"coloring token must be +1 or -1, got {token!r}")
         if not tokens:
-            raise ValueError("empty coloring file")
+            raise InputError("empty coloring file")
         data = np.frombuffer((" ".join(tokens) + "\n").encode("ascii"), dtype=np.uint8)
     return Coloring(np.where(data[::3] == ord("+"), 1, -1))
 

@@ -38,6 +38,8 @@ def test_sample_alpha_and_c_modes(tmp_path):
     assert read_matrix(out).m == 50
     # --p conflicts with --c
     assert main(["sample", "--n", "50", "--c", "0.5", "--p", "0.1", "--out", str(out)]) == 1
+    # --alpha, like --m, needs --p
+    assert main(["sample", "--n", "256", "--alpha", "0.5", "--out", str(out)]) == 1
 
 
 def test_solve_json_and_coloring_file(matrix_file, tmp_path, capsys):
@@ -95,6 +97,15 @@ def test_out_of_memory_exits_two(matrix_file, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: out of memory\n"
+
+
+def test_internal_value_error_exits_two(matrix_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli.cuts, "random_cut", broken)
+    assert main(["solve", "--algo", "random", "--in", str(matrix_file)]) == 2
+    assert capsys.readouterr().err == "error: internal fault\n"
 
 
 def test_bipartize_json(matrix_file, capsys):
@@ -164,6 +175,10 @@ def test_invalid_inputs_exit_one(matrix_file, tmp_path, capsys):
     assert main(["solve", "--algo", "exact", "--in", str(tmp_path / "missing")]) == 1
     bad = tmp_path / "bad.wrig"
     bad.write_text("BOGUS\n")
+    assert main(["solve", "--algo", "exact", "--in", str(bad)]) == 1
+    bad.write_text("WRIG 1 1 3\n1 x\n")
+    assert main(["solve", "--algo", "exact", "--in", str(bad)]) == 1
+    bad.write_bytes(b"\xff\xfe")
     assert main(["solve", "--algo", "exact", "--in", str(bad)]) == 1
     assert main(["solve", "--algo", "warp", "--in", str(bad)]) == 1
     assert main(["experiment", "--spec", str(tmp_path / "missing.json")]) == 1

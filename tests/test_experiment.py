@@ -4,9 +4,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from wrig_lab.core import RepresentationMatrix
+from wrig_lab.core import InputError, RepresentationMatrix
 from wrig_lab.cuts import random_cut
 from wrig_lab.experiment import (
     CSV_COLUMNS,
@@ -23,12 +24,12 @@ def make_spec(**overrides):
         "name": "unit",
         "regime": "fixed",
         "n": 10,
-        "m": 10,
-        "p": 0.2,
         "trials": 3,
         "algorithms": ["random", "exact"],
         "seed": 11,
     }
+    if overrides.get("regime", "fixed") == "fixed":
+        base.update(m=10, p=0.2)  # other regimes reject these grid keys
     base.update(overrides)
     return ExperimentSpec.from_dict(base)
 
@@ -50,14 +51,12 @@ def test_alpha_sweep_with_rule():
     spec = make_spec(regime="alpha-sweep", n=[256, 1024], alpha=0.5, p_rule="inv_sqrt_nm")
     assert [(g.n, g.m) for g in spec.grid] == [(256, 16), (1024, 32)]
     assert spec.grid[0].p == pytest.approx(1 / math.sqrt(256 * 16))
-    assert spec.grid[0].derivation == ("alpha", 0.5)
 
 
 def test_c_sweep_sets_m_and_p():
     spec = make_spec(regime="c-sweep", n=[100], c=[0.5, 2.0], algorithms="bipartize")
     assert spec.algorithms == ("bipartize",)
     assert [(g.n, g.m, g.p) for g in spec.grid] == [(100, 100, 0.005), (100, 100, 0.02)]
-    assert spec.grid[1].derivation == ("c", 2.0)
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -112,26 +111,55 @@ def test_shipped_configs_expand_as_pinned(load, grid):
     assert [(g.n, g.m, repr(g.p)) for g in spec.grid] == grid
 
 
+INVALID_SPECS = [
+    ({"bogus_key": 1}, r"unknown config keys: \['bogus_key'\]"),
+    ({"trials": 0}, "need trials >= 1"),
+    ({"algorithms": ["random", "quantum"]}, "unknown algorithm 'quantum'"),
+    ({"algorithms": []}, "no algorithms selected"),
+    ({"regime": "sweepy"}, "regime must be one of .* got 'sweepy'"),
+    ({"regime": "c-sweep"}, "c-sweep regime needs 'c'"),
+    ({"regime": "alpha-sweep", "alpha": 0.5, "p_rule": "nope"}, "p_rule must be one of"),
+    ({"epsilon": 2.0}, r"epsilon must lie in \[0, 1\]"),
+    ({"workers": -1}, "workers must be >= 0"),
+    ({"max_rematch": -3}, "max_rematch must be >= 0"),
+    ({"exact_cap": 0}, "exact_cap must be >= 1"),
+    ({"exact_cap": -1}, "exact_cap must be >= 1"),
+    # A grid key that only another regime reads.
+    ({"c": 1.0}, r"fixed regime does not read \['c'\]"),
+    ({"p_rule": "inv_sqrt_nm"}, r"fixed regime does not read \['p_rule'\]"),
+    ({"regime": "alpha-sweep", "alpha": 0.5, "p": 0.1, "m": 10}, r"does not read \['m'\]"),
+    ({"regime": "c-sweep", "c": 1, "p": 0.5}, r"c-sweep regime does not read \['p'\]"),
+    ({"regime": "c-sweep", "c": 1, "alpha": 0.5}, r"c-sweep regime does not read \['alpha'\]"),
+    (
+        {"regime": "alpha-sweep", "alpha": 0.5, "p": 0.1, "p_rule": "inv_sqrt_nm"},
+        "takes 'p' or 'p_rule', not both",
+    ),
+    ({"regime": "alpha-sweep", "alpha": 0.5}, "alpha-sweep regime needs 'p' or 'p_rule'"),
+    # Values keep their type: no truncation, no bools.
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"seed": 7.9}, "seed must be an integer, got 7.9"),
+    ({"n": [10.7]}, "n must be an integer, got 10.7"),
+    ({"m": 5.9}, "m must be an integer, got 5.9"),
+    ({"p": "0.2"}, "p must be a real number, got '0.2'"),
+    ({"epsilon": False}, "epsilon must be a real number, got False"),
+]
+
+
 @pytest.mark.parametrize(
-    "overrides",
-    [
-        {"bogus_key": 1},
-        {"trials": 0},
-        {"algorithms": ["random", "quantum"]},
-        {"algorithms": []},
-        {"regime": "sweepy"},
-        {"regime": "c-sweep"},  # missing c
-        {"regime": "alpha-sweep", "alpha": 0.5, "p_rule": "nope"},
-        {"epsilon": 2.0},
-        {"workers": -1},
-        {"max_rematch": -3},
-        {"exact_cap": 0},
-        {"exact_cap": -1},
-    ],
+    "overrides, match",
+    INVALID_SPECS,
+    ids=[f"overrides{i}" for i in range(len(INVALID_SPECS))],
 )
-def test_invalid_specs_rejected(overrides):
-    with pytest.raises(ValueError):
+def test_invalid_specs_rejected(overrides, match):
+    with pytest.raises(InputError, match=match):
         make_spec(**overrides)
+
+
+def test_numpy_scalars_are_accepted():
+    spec = make_spec(n=[np.int64(10)], m=np.int32(4), p=np.float64(0.2), trials=np.int64(2))
+    assert [(g.n, g.m, g.p) for g in spec.grid] == [(10, 4, 0.2)]
+    assert spec.trials == 2
 
 
 def test_spec_file_roundtrip(tmp_path):

@@ -164,12 +164,6 @@ def test_model_params_validation():
         ModelParams.fixed(3, 0, 0.5)
     with pytest.raises(ValueError):
         ModelParams.fixed(3, 3, 1.5)
-    with pytest.raises(ValueError):
-        ModelParams(n=4, m=3, p=0.5, derivation=("alpha", 0.5))  # floor(4**0.5) == 2
-    with pytest.raises(ValueError):
-        ModelParams(n=4, m=4, p=0.5, derivation=("c", 1.0))  # p != c/n
-    with pytest.raises(ValueError):
-        ModelParams(n=4, m=4, p=0.25, derivation=("weird", 1.0))
 
 
 def test_alpha_floor_uses_exact_powers():
