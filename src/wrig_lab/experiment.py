@@ -34,6 +34,7 @@ ALGORITHMS = cuts.CUT_ALGORITHMS + ("bipartize",)
 P_RULES = ("inv_sqrt_nm",)
 
 # The grid keys each regime reads besides n; "a|b" takes exactly one of a, b.
+# `wrig-lab sample` picks the regime whose first key it was given.
 REGIME_KEYS = {
     "fixed": ("m", "p"),
     "alpha-sweep": ("alpha", "p|p_rule"),
