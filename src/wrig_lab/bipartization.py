@@ -150,15 +150,71 @@ def _shortest_odd_cycle(adj: list[list[int]]) -> Optional[list[int]]:
     The shortest odd closed walk through each start vertex comes from a BFS
     on the bipartite double cover; at the global minimum that walk is a
     simple cycle.  Ties go to the smallest start vertex.
+
+    Only the vertices of the 2-core's non-bipartite components are searched,
+    on the adjacency restricted to them; the cycle is the one a search from
+    every vertex on the whole graph returns.  A vertex of a bipartite
+    component has no odd closed walk.  A vertex peeled off the 2-core sits
+    on a tree hanging off the core (or on a tree component), so its shortest
+    odd closed walk is at least g + 2 long, g the global minimum: it is
+    never the first start vertex to reach g, and the cutoff it would have
+    set, at least g + 2, prunes no walk of length g.  A tree hanging off core
+    vertex a leads back only to a, with the parity a already has, so it
+    never sets a core node's BFS parent, and dropping its nodes does not
+    reorder the core nodes of any BFS level.
     """
+    keep = _odd_core(adj)
+    sources = [v for v, kept in enumerate(keep) if kept]
+    if not sources:
+        return None
+    core_adj = [[w for w in nbrs if keep[w]] if kept else [] for nbrs, kept in zip(adj, keep)]
     best: Optional[list[int]] = None
-    for s in range(len(adj)):
-        cycle = _odd_cycle_through(adj, s, None if best is None else len(best))
+    for s in sources:
+        cycle = _odd_cycle_through(core_adj, s, None if best is None else len(best))
         if cycle is not None:
             best = cycle
             if len(best) == 3:
                 break
     return best
+
+
+def _odd_core(adj: list[list[int]]) -> list[bool]:
+    """Per vertex: does it lie in a non-bipartite component of the 2-core?
+
+    Peels vertices of degree <= 1 until none is left, then 2-colours each
+    remaining component by BFS; O(n + e).
+    """
+    n = len(adj)
+    degree = [len(nbrs) for nbrs in adj]
+    in_core = [d > 1 for d in degree]
+    peel = [v for v in range(n) if not in_core[v]]
+    while peel:
+        for w in adj[peel.pop()]:
+            if in_core[w]:
+                degree[w] -= 1
+                if degree[w] <= 1:
+                    in_core[w] = False
+                    peel.append(w)
+    side = [0] * n
+    for s in range(n):
+        if not in_core[s] or side[s]:
+            continue
+        side[s] = 1
+        component = [s]
+        bipartite = True
+        for u in component:  # grows while it is walked: a BFS queue
+            for w in adj[u]:
+                if not in_core[w]:
+                    continue
+                if not side[w]:
+                    side[w] = -side[u]
+                    component.append(w)
+                elif side[w] == side[u]:
+                    bipartite = False
+        if bipartite:
+            for v in component:
+                in_core[v] = False
+    return in_core
 
 
 def _odd_cycle_through(

@@ -18,7 +18,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from os import cpu_count
 from pathlib import Path
@@ -74,6 +74,10 @@ class ExperimentSpec:
     workers: int = 0
 
     def __post_init__(self):
+        _check_text("name", self.name)
+        for key in ("output", "summary"):
+            if getattr(self, key) is not None:
+                _check_text(key, getattr(self, key))
         for key in ("trials", "seed", "workers", "exact_cap"):
             _check_number(key, getattr(self, key), numbers.Integral)
         if self.max_rematch is not None:
@@ -120,6 +124,12 @@ class ExperimentSpec:
 
 def _as_list(value) -> list:
     return list(value) if isinstance(value, (list, tuple)) else [value]
+
+
+def _check_text(key: str, value) -> None:
+    """InputError naming ``key`` unless ``value`` is a string."""
+    if not isinstance(value, str):
+        raise InputError(f"{key} must be a string, got {value!r}")
 
 
 def _check_number(key: str, value, kind: type) -> None:
@@ -299,16 +309,17 @@ def run_experiment(
 
     Records stream to ``spec.output`` (CSV) in (grid, trial) order as they
     arrive; the summary goes to ``spec.summary`` (JSON).  Output bytes are
-    invariant to the worker count.
+    invariant to the worker count.  ``workers`` overrides ``spec.workers``
+    under the same rule.
     """
     for point in spec.grid:
         message = point.regime_warning()
         if message is not None:
             warnings.warn(message, stacklevel=2)
 
-    count = workers if workers is not None else spec.workers
-    if count == 0:
-        count = cpu_count() or 1
+    if workers is not None:
+        spec = replace(spec, workers=workers)
+    count = spec.workers or cpu_count() or 1
     tasks = [
         (grid_id, trial)
         for grid_id in range(len(spec.grid))

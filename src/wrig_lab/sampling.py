@@ -89,8 +89,17 @@ class ModelParams:
 
 
 def label_count_for_alpha(n: int, alpha: float) -> int:
-    """floor(n**alpha), with a tiny nudge so exact powers survive float dust."""
-    return max(1, math.floor(n**alpha + 1e-9))
+    """floor(n**alpha), with a tiny nudge so exact powers survive float dust.
+
+    An n below 1, or an alpha whose power overflows or is NaN, is an
+    InputError.
+    """
+    if n < 1:
+        raise InputError(f"need n >= 1, got n={n}")
+    try:
+        return max(1, math.floor(n**alpha + 1e-9))
+    except (OverflowError, ValueError):
+        raise InputError(f"n**alpha is no finite label count for n={n}, alpha={alpha}") from None
 
 
 def expected_edge_weight_sum(params: ModelParams) -> float:

@@ -5,17 +5,20 @@ oracles: it materializes every coloring with x_0 = +1 as a matrix and
 evaluates |Rx|^2 and |Rx|_inf by plain numpy arithmetic, so library bugs
 cannot hide behind themselves.  Likewise the weighted intersection graph
 scores a cut by summing crossing edges instead of the norm identity, and
-the majority reference visits every vertex in plain Python.
+the majority reference visits every vertex in plain Python, and the
+odd-cycle reference searches from every vertex of the whole graph.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from hypothesis import strategies as st
 
+from wrig_lab.bipartization import _odd_cycle_through
 from wrig_lab.core import Coloring, RepresentationMatrix
 from wrig_lab.sampling import Seed, derive_rng
 
@@ -92,6 +95,22 @@ def majority_reference(R: RepresentationMatrix, epsilon: float, seed: Seed) -> t
     return tuple(signs)
 
 
+def shortest_odd_cycle_reference(adj: list[list[int]]) -> Optional[list[int]]:
+    """Shortest odd cycle by a double-cover BFS from every vertex in turn.
+
+    Same cutoff and tie rule as ``wrig_lab.bipartization._shortest_odd_cycle``
+    (the smallest start vertex wins), but no pruning of start vertices.
+    """
+    best: Optional[list[int]] = None
+    for s in range(len(adj)):
+        cycle = _odd_cycle_through(adj, s, None if best is None else len(best))
+        if cycle is not None:
+            best = cycle
+            if len(best) == 3:
+                break
+    return best
+
+
 def dense_matrix(R: RepresentationMatrix) -> np.ndarray:
     out = np.zeros((R.m, R.n), dtype=np.int64)
     for l, L in enumerate(R.label_sets):
@@ -146,3 +165,50 @@ def matrices_with_colorings(draw, max_n: int = 8, max_m: int = 6):
     R = draw(matrices(max_n=max_n, max_m=max_m))
     values = tuple(draw(st.sampled_from((-1, 1))) for _ in range(R.n))
     return R, Coloring(values)
+
+
+@st.composite
+def simple_graphs(draw, max_parts: int = 5, max_size: int = 8):
+    """Sorted adjacency lists of a simple graph built from parts.
+
+    Each part adds vertices as a random graph, a bipartite graph, a cycle,
+    isolated vertices, or a tree whose every vertex hangs off an earlier
+    vertex (so a pendant tree on an earlier part, or a new tree component).
+    A few extra random edges may then join parts, and a random relabelling
+    interleaves the components' vertex numbers.
+    """
+    edges: set[tuple[int, int]] = set()
+    n = 0
+    kinds = ("random", "bipartite", "cycle", "isolated", "tree")
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=max_parts)):
+        size = draw(st.integers(min_value=1, max_value=max_size))
+        vs = list(range(n, n + size))
+        if kind in ("random", "bipartite"):
+            sides = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+            pairs = [
+                (u, v)
+                for i, u in enumerate(vs)
+                for v in vs[i + 1 :]
+                if kind == "random" or sides[u - n] != sides[v - n]
+            ]
+            keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+            edges.update(pair for pair, kept in zip(pairs, keep) if kept)
+        elif kind == "cycle" and size >= 3:
+            edges.update((vs[i - 1], vs[i]) if i else (vs[0], vs[-1]) for i in range(size))
+        elif kind == "tree":
+            for v in vs:
+                if v:
+                    edges.add((draw(st.integers(min_value=0, max_value=v - 1)), v))
+        n += size
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    label = draw(st.permutations(range(n)))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[label[u]].append(label[v])
+        adj[label[v]].append(label[u])
+    for nbrs in adj:
+        nbrs.sort()
+    return adj

@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import matrices, oracle_max_cut_weight, oracle_min_discrepancy
+from helpers import (
+    matrices,
+    oracle_max_cut_weight,
+    oracle_min_discrepancy,
+    shortest_odd_cycle_reference,
+    simple_graphs,
+)
 from wrig_lab.bipartization import (
     VertexLabelSequence,
+    _shortest_odd_cycle,
     count_sequences_exact,
     default_max_rematch,
     expected_sequence_count,
@@ -76,6 +83,64 @@ def test_sequence_canonical_rotation_preserves_direction():
 
 
 # --- detector ---
+
+
+def _adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(nbrs) for nbrs in adj]
+
+
+def _path(*vs):
+    return list(zip(vs, vs[1:]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(simple_graphs())
+def test_pruned_search_matches_search_from_every_vertex(adj):
+    assert _shortest_odd_cycle(adj) == shortest_odd_cycle_reference(adj)
+
+
+ODD_CYCLE_CASES = {
+    # A 5-cycle on 5..9 under a tail 0-1-2-3-4-5 that numbers first.
+    "long_tail": (
+        _adjacency(10, _path(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 5)),
+        [5, 6, 7, 8, 9],
+    ),
+    # The component of vertex 0 (a 5-cycle, a path, then triangle 20-21-22)
+    # comes first; the equal triangle 1-2-3 of a later component wins,
+    # since its start vertex is smaller.
+    "tie_in_later_component": (
+        _adjacency(
+            23,
+            _path(0, 10, 11, 12, 13, 0) + _path(13, 14, 20, 21, 22, 20) + _path(1, 2, 3, 1),
+        ),
+        [1, 2, 3],
+    ),
+    # An even cycle and K_{2,3} with pendant trees, a tree component and
+    # isolated vertices.
+    "bipartite_with_trees": (
+        _adjacency(
+            16,
+            _path(0, 1, 2, 3, 0)
+            + _path(3, 4, 5)
+            + _path(1, 6)
+            + [(7, 9), (7, 10), (7, 11), (8, 9), (8, 10), (8, 11)]
+            + _path(11, 12)
+            + _path(13, 14),
+        ),
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ODD_CYCLE_CASES))
+def test_shortest_odd_cycle_cases(case):
+    adj, expected = ODD_CYCLE_CASES[case]
+    assert _shortest_odd_cycle(adj) == expected
+    assert shortest_odd_cycle_reference(adj) == expected
 
 
 def test_detector_records_weak_triangle_and_reports_absent():

@@ -40,6 +40,9 @@ def test_sample_alpha_and_c_modes(tmp_path):
     assert main(["sample", "--n", "50", "--c", "0.5", "--p", "0.1", "--out", str(out)]) == 1
     # --alpha, like --m, needs --p
     assert main(["sample", "--n", "256", "--alpha", "0.5", "--out", str(out)]) == 1
+    # floor(n**alpha) must be a finite label count, and n at least 1
+    for n, alpha in (("10", "1000"), ("10", "inf"), ("10", "nan"), ("0", "-1")):
+        assert main(["sample", "--n", n, "--alpha", alpha, "--p", "0.1", "--out", str(out)]) == 1
 
 
 def test_solve_json_and_coloring_file(matrix_file, tmp_path, capsys):
@@ -182,5 +185,10 @@ def test_invalid_inputs_exit_one(matrix_file, tmp_path, capsys):
     assert main(["solve", "--algo", "exact", "--in", str(bad)]) == 1
     assert main(["solve", "--algo", "warp", "--in", str(bad)]) == 1
     assert main(["experiment", "--spec", str(tmp_path / "missing.json")]) == 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"n": 3, "m": 3, "p": 0.5}))
+    assert main(["experiment", "--spec", str(spec), "--workers", "-1"]) == 1
+    spec.write_text(json.dumps({"n": 3, "m": 3, "p": 0.5, "output": 5}))
+    assert main(["experiment", "--spec", str(spec)]) == 1
     assert main(["bipartize", "--in", str(matrix_file), "--max-rematch", "-7"]) == 1
     capsys.readouterr()

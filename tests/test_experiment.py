@@ -143,6 +143,12 @@ INVALID_SPECS = [
     ({"m": 5.9}, "m must be an integer, got 5.9"),
     ({"p": "0.2"}, "p must be a real number, got '0.2'"),
     ({"epsilon": False}, "epsilon must be a real number, got False"),
+    # Text keys are strings; output and summary may also be null.
+    ({"output": 5}, "output must be a string, got 5"),
+    ({"summary": ["s.json"]}, r"summary must be a string, got \['s.json'\]"),
+    ({"name": None}, "name must be a string, got None"),
+    # m = floor(n**alpha) must be a finite count.
+    ({"regime": "alpha-sweep", "alpha": 1000, "p": 0.1}, "no finite label count"),
 ]
 
 
@@ -154,6 +160,11 @@ INVALID_SPECS = [
 def test_invalid_specs_rejected(overrides, match):
     with pytest.raises(InputError, match=match):
         make_spec(**overrides)
+
+
+def test_workers_override_keeps_the_spec_rule():
+    with pytest.raises(InputError, match="workers must be >= 0, got -1"):
+        run_experiment(make_spec(), workers=-1)
 
 
 def test_numpy_scalars_are_accepted():
