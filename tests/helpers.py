@@ -5,14 +5,16 @@ oracles: it materializes every coloring with x_0 = +1 as a matrix and
 evaluates |Rx|^2 and |Rx|_inf by plain numpy arithmetic, so library bugs
 cannot hide behind themselves.  Likewise the weighted intersection graph
 scores a cut by summing crossing edges instead of the norm identity, and
-the majority reference visits every vertex in plain Python, and the
-odd-cycle reference searches from every vertex of the whole graph.
+the majority reference visits every vertex in plain Python, the odd-cycle
+reference searches from every vertex of the whole graph, and the sequence
+count enumerates every vertex tuple and every label tuple.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import permutations, product
 from typing import Optional
 
 import numpy as np
@@ -109,6 +111,27 @@ def shortest_odd_cycle_reference(adj: list[list[int]]) -> Optional[list[int]]:
             if len(best) == 3:
                 break
     return best
+
+
+def count_sequences_reference(R: RepresentationMatrix, k: int) -> int:
+    """Closed vertex-label cycles of size k by plain enumeration.
+
+    Counts ordered tuples of k distinct vertices led by their smallest
+    vertex, each with every tuple of k distinct labels where label i holds
+    vertices i and i+1 mod k; the canonical form of
+    ``wrig_lab.bipartization.count_sequences_exact``.
+    """
+    members = [set(L) for L in R.label_sets]
+    total = 0
+    for vs in permutations(range(R.n), k):
+        if vs[0] != min(vs):
+            continue
+        holders = [
+            [l for l, L in enumerate(members) if vs[i] in L and vs[(i + 1) % k] in L]
+            for i in range(k)
+        ]
+        total += sum(len(set(ls)) == k for ls in product(*holders))
+    return total
 
 
 def dense_matrix(R: RepresentationMatrix) -> np.ndarray:

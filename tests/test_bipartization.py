@@ -3,10 +3,11 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    count_sequences_reference,
     matrices,
     oracle_max_cut_weight,
     oracle_min_discrepancy,
@@ -436,6 +437,16 @@ def test_count_caps():
     big = RepresentationMatrix.from_label_sets(13, [[0, 1]])
     with pytest.raises(ValueError):
         count_sequences_exact(big, 3)
+
+
+@settings(deadline=None, max_examples=60)
+@given(matrices(max_n=6, max_m=5))
+# Random draws rarely close a 4-cycle; these two do, sparsely and densely.
+@example(RepresentationMatrix.from_label_sets(5, [[0, 1], [1, 2, 4], [2, 3], [0, 3, 4]]))
+@example(RepresentationMatrix.from_label_sets(6, [range(6)] * 5))
+def test_count_matches_enumeration(R):
+    for k in range(1, 5):
+        assert count_sequences_exact(R, k) == count_sequences_reference(R, k)
 
 
 @settings(deadline=None, max_examples=40)
