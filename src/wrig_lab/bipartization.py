@@ -8,14 +8,18 @@ of weak labels (labels with exactly two vertices) cannot be destroyed this
 way; the detector instead sets one of their edges aside and keeps going.
 On termination the skeleton minus the set-aside edges is bipartite, and
 BFS-parity coloring of it balances every label set as well as possible.
+
+Every graph pass builds its graph with ``_skeleton`` (the pair -> labels
+table and sorted adjacency, of the matchings or of all pairs a label holds)
+and 2-colours it with the one BFS of ``_two_color``.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from itertools import combinations
+from typing import Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -58,11 +62,8 @@ def random_maximal_matching(
     if len(members) < 2:
         return ()
     shuffled = rng.permutation(np.asarray(members, dtype=np.int64)).tolist()
-    pairs = []
-    for i in range(0, len(shuffled) - 1, 2):
-        u, v = shuffled[i], shuffled[i + 1]
-        pairs.append((u, v) if u < v else (v, u))
-    return tuple(sorted(pairs))
+    pairs = zip(shuffled[::2], shuffled[1::2])  # an odd one out is left unpaired
+    return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,10 @@ class VertexLabelSequence:
         if len(vertices) != len(labels):
             raise InputError("need one label per consecutive vertex pair")
         j = min(range(len(vertices)), key=vertices.__getitem__)
-        strong = _strong_labels(R)
         return cls(
             vertices=tuple(vertices[j:]) + tuple(vertices[:j]),
             labels=tuple(labels[j:]) + tuple(labels[:j]),
-            strength=sum(strong[l] for l in labels),
+            strength=int((R.sizes[list(labels)] >= STRONG_MIN_SIZE).sum()),
         )
 
     def __len__(self) -> int:
@@ -125,11 +125,12 @@ class BipartizationOutcome:
 
 def _skeleton(
     n: int,
-    matchings: Sequence[Sequence[Pair]],
+    matchings: Sequence[Iterable[Pair]],
     excluded: Collection[ExcludedEdge] = (),
 ) -> tuple[dict[Pair, list[int]], list[list[int]]]:
-    """Skeleton minus excluded as a simple graph: the labels of each pair in
-    ascending order, and each vertex's sorted neighbours."""
+    """Union of per-label pair lists (each pair u < v) minus excluded, as a
+    simple graph: the labels of each pair in ascending order, and each
+    vertex's sorted neighbours."""
     pairs: dict[Pair, list[int]] = {}
     for l, matching in enumerate(matchings):
         for u, v in matching:
@@ -151,26 +152,24 @@ def _shortest_odd_cycle(adj: list[list[int]]) -> Optional[list[int]]:
     on the bipartite double cover; at the global minimum that walk is a
     simple cycle.  Ties go to the smallest start vertex.
 
-    Only the vertices of the 2-core's non-bipartite components are searched,
-    on the adjacency restricted to them; the cycle is the one a search from
-    every vertex on the whole graph returns.  A vertex of a bipartite
-    component has no odd closed walk.  A vertex peeled off the 2-core sits
-    on a tree hanging off the core (or on a tree component), so its shortest
-    odd closed walk is at least g + 2 long, g the global minimum: it is
-    never the first start vertex to reach g, and the cutoff it would have
-    set, at least g + 2, prunes no walk of length g.  A tree hanging off core
-    vertex a leads back only to a, with the parity a already has, so it
-    never sets a core node's BFS parent, and dropping its nodes does not
-    reorder the core nodes of any BFS level.
+    The search runs on the 2-core, from the vertices of its non-bipartite
+    components only; the cycle is the one a search from every vertex on the
+    whole graph returns.  A vertex of a bipartite component has no odd
+    closed walk, and a BFS never leaves its start's component, so on the
+    2-core it sees exactly that component.  A vertex peeled off the 2-core
+    sits on a tree hanging off the core (or on a tree component), so its
+    shortest odd closed walk is at least g + 2 long, g the global minimum:
+    it is never the first start vertex to reach g, and the cutoff it would
+    have set, at least g + 2, prunes no walk of length g.  A tree hanging
+    off core vertex a leads back only to a, with the parity a already has,
+    so it never sets a core node's BFS parent, and dropping its nodes does
+    not reorder the core nodes of any BFS level.
     """
-    keep = _odd_core(adj)
-    sources = [v for v, kept in enumerate(keep) if kept]
-    if not sources:
-        return None
-    core_adj = [[w for w in nbrs if keep[w]] if kept else [] for nbrs, kept in zip(adj, keep)]
+    core = _two_core(adj)
+    _, odd = _two_color(core)
     best: Optional[list[int]] = None
-    for s in sources:
-        cycle = _odd_cycle_through(core_adj, s, None if best is None else len(best))
+    for s in sorted(odd):
+        cycle = _odd_cycle_through(core, s, None if best is None else len(best))
         if cycle is not None:
             best = cycle
             if len(best) == 3:
@@ -178,16 +177,13 @@ def _shortest_odd_cycle(adj: list[list[int]]) -> Optional[list[int]]:
     return best
 
 
-def _odd_core(adj: list[list[int]]) -> list[bool]:
-    """Per vertex: does it lie in a non-bipartite component of the 2-core?
-
-    Peels vertices of degree <= 1 until none is left, then 2-colours each
-    remaining component by BFS; O(n + e).
-    """
-    n = len(adj)
+def _two_core(adj: list[list[int]]) -> list[list[int]]:
+    """The 2-core's adjacency: vertices of degree <= 1 are peeled until none
+    is left; a peeled vertex keeps no neighbours, a core vertex its core
+    neighbours in their order.  O(n + e)."""
     degree = [len(nbrs) for nbrs in adj]
     in_core = [d > 1 for d in degree]
-    peel = [v for v in range(n) if not in_core[v]]
+    peel = [v for v, kept in enumerate(in_core) if not kept]
     while peel:
         for w in adj[peel.pop()]:
             if in_core[w]:
@@ -195,26 +191,30 @@ def _odd_core(adj: list[list[int]]) -> list[bool]:
                 if degree[w] <= 1:
                     in_core[w] = False
                     peel.append(w)
-    side = [0] * n
-    for s in range(n):
-        if not in_core[s] or side[s]:
+    return [[w for w in nbrs if in_core[w]] if kept else [] for nbrs, kept in zip(adj, in_core)]
+
+
+def _two_color(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """BFS-parity signs, +1 at each component's smallest vertex, and the
+    vertices of the components that are not bipartite.  O(n + e)."""
+    signs = [0] * len(adj)
+    odd: list[int] = []
+    for s in range(len(adj)):
+        if signs[s]:
             continue
-        side[s] = 1
+        signs[s] = 1
         component = [s]
         bipartite = True
         for u in component:  # grows while it is walked: a BFS queue
             for w in adj[u]:
-                if not in_core[w]:
-                    continue
-                if not side[w]:
-                    side[w] = -side[u]
+                if not signs[w]:
+                    signs[w] = -signs[u]
                     component.append(w)
-                elif side[w] == side[u]:
+                elif signs[w] == signs[u]:
                     bipartite = False
-        if bipartite:
-            for v in component:
-                in_core[v] = False
-    return in_core
+        if not bipartite:
+            odd += component
+    return signs, odd
 
 
 def _odd_cycle_through(
@@ -376,22 +376,9 @@ def extract_coloring(outcome: BipartizationOutcome) -> Coloring:
     """
     if not outcome.terminated:
         raise InputError("cannot extract a coloring from a non-terminated run")
-    n = outcome.R.n
-    _, adj = _skeleton(n, outcome.matchings, outcome.excluded)
-    signs = [0] * n
-    for start in range(n):
-        if signs[start] != 0:
-            continue
-        signs[start] = 1
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if signs[w] == 0:
-                    signs[w] = -signs[u]
-                    queue.append(w)
-                else:
-                    assert signs[w] == -signs[u], "skeleton minus excluded is not bipartite"
+    _, adj = _skeleton(outcome.R.n, outcome.matchings, outcome.excluded)
+    signs, odd = _two_color(adj)
+    assert not odd, "skeleton minus excluded is not bipartite"
     return Coloring(tuple(signs))
 
 
@@ -403,6 +390,8 @@ def expected_sequence_count(n: int, m: int, p: float, k: int) -> float:
     """
     if not 1 <= k <= min(n, m):
         raise InputError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got {k}")
+    if not 0.0 <= p <= 1.0:
+        raise InputError(f"need 0 <= p <= 1, got p={p}")
     if p == 0.0:
         return 0.0
     log_value = (
@@ -435,38 +424,20 @@ def count_sequences_exact(R: RepresentationMatrix, k: int) -> int:
     if k == 1:
         return R.diagonal_sum()
 
-    common: dict[Pair, list[int]] = {}
-    for l, L in enumerate(R.label_sets):
-        for i, u in enumerate(L):
-            for v in L[i + 1 :]:
-                common.setdefault((u, v), []).append(l)
-    neighbors: dict[int, list[tuple[int, list[int]]]] = {v: [] for v in range(R.n)}
-    for (u, v), labels in common.items():
-        neighbors[u].append((v, labels))
-        neighbors[v].append((u, labels))
+    pairs, adj = _skeleton(R.n, [combinations(_members(R, l).tolist(), 2) for l in range(R.m)])
 
-    total = 0
+    def closings(path: tuple[int, ...], used: tuple[int, ...]) -> int:
+        """Cycles that extend ``path`` (its first vertex the smallest) with
+        distinct labels not in ``used``, one per remaining consecutive pair."""
+        last = path[-1]
+        if len(path) == k:
+            return len([l for l in pairs.get((path[0], last), ()) if l not in used])
+        total = 0
+        for w in adj[last]:
+            if w > path[0] and w not in path:
+                for l in pairs[(last, w) if last < w else (w, last)]:
+                    if l not in used:
+                        total += closings(path + (w,), used + (l,))
+        return total
 
-    def extend(first: int, last: int, visited: set[int], used: set[int], depth: int):
-        nonlocal total
-        if depth == k:
-            key = (first, last) if first < last else (last, first)
-            for l in common.get(key, ()):
-                if l not in used:
-                    total += 1
-            return
-        for w, labels in neighbors[last]:
-            if w <= first or w in visited:
-                continue
-            for l in labels:
-                if l in used:
-                    continue
-                visited.add(w)
-                used.add(l)
-                extend(first, w, visited, used, depth + 1)
-                used.discard(l)
-                visited.discard(w)
-
-    for v1 in range(R.n):
-        extend(v1, v1, {v1}, set(), 1)
-    return total
+    return sum(closings((v,), ()) for v in range(R.n))

@@ -44,7 +44,11 @@ def derive_seed(seed: Seed, *stream: int) -> int:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters (n, m, p) of the random model."""
+    """Parameters (n, m, p) of the random model.
+
+    n*m stays below 2^63: the samplers address cells by their int64 grid
+    position l*n + v.
+    """
 
     n: int
     m: int
@@ -53,6 +57,8 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise InputError(f"need n, m >= 1, got n={self.n}, m={self.m}")
+        if int(self.n) * int(self.m) >= 1 << 63:
+            raise InputError(f"need n*m < 2^63, got n={self.n}, m={self.m}")
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"need 0 <= p <= 1, got p={self.p}")
 
@@ -68,6 +74,8 @@ class ModelParams:
     @classmethod
     def from_c(cls, n: int, c: float) -> "ModelParams":
         """m = n and p = c/n."""
+        if n < 1:
+            raise InputError(f"need n >= 1, got n={n}")
         return cls(n=n, m=n, p=c / n)
 
     def regime_warning(self) -> Optional[str]:

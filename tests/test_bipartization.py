@@ -25,7 +25,14 @@ from wrig_lab.bipartization import (
     random_maximal_matching,
     weak_bipartization,
 )
-from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy, norm_sq, row_sums
+from wrig_lab.core import (
+    InputError,
+    RepresentationMatrix,
+    cut_weight,
+    discrepancy,
+    norm_sq,
+    row_sums,
+)
 from wrig_lab.experiment import ExperimentSpec, _trial_streams
 from wrig_lab.sampling import ModelParams, derive_rng, derive_seed, sample_matrix
 
@@ -471,6 +478,9 @@ def test_expected_sequence_count_values():
         expected_sequence_count(5, 5, 0.2, 0)
     with pytest.raises(ValueError):
         expected_sequence_count(5, 5, 0.2, 6)
+    for p in (2.0, -0.5, math.nan):
+        with pytest.raises(InputError, match=f"got p={p}"):
+            expected_sequence_count(5, 5, p, 3)
 
 
 def test_monte_carlo_count_tracks_expectation_small():

@@ -45,6 +45,12 @@ def test_sample_alpha_and_c_modes(tmp_path):
         assert main(["sample", "--n", n, "--alpha", alpha, "--p", "0.1", "--out", str(out)]) == 1
 
 
+def test_sample_c_mode_needs_a_vertex(capsys):
+    assert main(["sample", "--n", "0", "--c", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: need n >= 1") and "Traceback" not in err
+
+
 def test_solve_json_and_coloring_file(matrix_file, tmp_path, capsys):
     coloring_path = tmp_path / "x.txt"
     assert main([
@@ -144,6 +150,11 @@ def test_count_sequences_exact_and_expected(matrix_file, capsys):
                  "--p", "0.2", "--k", "3"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(0.0768, abs=1e-12)
     assert main(["count-sequences", "--k", "3"]) == 1  # neither --in nor --expect
+    capsys.readouterr()
+    for p in ("2", "-0.5", "nan"):
+        assert main(["count-sequences", "--expect", "--n", "5", "--m", "5",
+                     "--p", p, "--k", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: need 0 <= p <= 1")
 
 
 def test_experiment_subcommand(tmp_path, capsys):

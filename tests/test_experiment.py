@@ -130,6 +130,7 @@ INVALID_SPECS = [
     ({"regime": "alpha-sweep", "alpha": 0.5, "p": 0.1, "m": 10}, r"does not read \['m'\]"),
     ({"regime": "c-sweep", "c": 1, "p": 0.5}, r"c-sweep regime does not read \['p'\]"),
     ({"regime": "c-sweep", "c": 1, "alpha": 0.5}, r"c-sweep regime does not read \['alpha'\]"),
+    ({"regime": "c-sweep", "c": 1, "n": 0}, "need n >= 1, got n=0"),
     (
         {"regime": "alpha-sweep", "alpha": 0.5, "p": 0.1, "p_rule": "inv_sqrt_nm"},
         "takes 'p' or 'p_rule', not both",

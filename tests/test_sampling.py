@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wrig_lab.core import InputError
 from wrig_lab.sampling import (
     ModelParams,
     _sample_dense,
@@ -164,6 +165,16 @@ def test_model_params_validation():
         ModelParams.fixed(3, 0, 0.5)
     with pytest.raises(ValueError):
         ModelParams.fixed(3, 3, 1.5)
+    with pytest.raises(InputError, match="need n >= 1, got n=0"):
+        ModelParams.from_c(0, 0.5)
+
+
+def test_model_params_grid_positions_fit_int64():
+    assert ModelParams.fixed(1 << 32, (1 << 31) - 1, 0.5).m == (1 << 31) - 1
+    with pytest.raises(InputError, match="n=4294967296, m=2147483648"):
+        ModelParams.fixed(1 << 32, 1 << 31, 0.5)
+    with pytest.raises(InputError, match=r"need n\*m < 2\^63, got n=10, m=1000"):
+        ModelParams.from_alpha(10, 300, 0.1)
 
 
 def test_alpha_floor_uses_exact_powers():
