@@ -62,8 +62,11 @@ def random_maximal_matching(
     if len(members) < 2:
         return ()
     shuffled = rng.permutation(np.asarray(members, dtype=np.int64)).tolist()
-    pairs = zip(shuffled[::2], shuffled[1::2])  # an odd one out is left unpaired
-    return tuple(sorted((u, v) if u < v else (v, u) for u, v in pairs))
+    pairs = []
+    for i in range(0, len(shuffled) - 1, 2):
+        u, v = shuffled[i], shuffled[i + 1]
+        pairs.append((u, v) if u < v else (v, u))
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ def test_sample_writes_reproducible_matrix(tmp_path, capsys):
     assert capsys.readouterr().out == format_matrix(R)
 
 
-def test_sample_alpha_and_c_modes(tmp_path):
+def test_sample_alpha_and_c_modes(tmp_path, capsys):
     out = tmp_path / "R.wrig"
     assert main(["sample", "--n", "256", "--alpha", "0.5", "--p", "0.02",
                  "--seed", "1", "--out", str(out)]) == 0
@@ -43,9 +43,8 @@ def test_sample_alpha_and_c_modes(tmp_path):
     # floor(n**alpha) must be a finite label count, and n at least 1
     for n, alpha in (("10", "1000"), ("10", "inf"), ("10", "nan"), ("0", "-1")):
         assert main(["sample", "--n", n, "--alpha", alpha, "--p", "0.1", "--out", str(out)]) == 1
-
-
-def test_sample_c_mode_needs_a_vertex(capsys):
+    capsys.readouterr()
+    # p = c/n needs n >= 1
     assert main(["sample", "--n", "0", "--c", "0.5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: need n >= 1") and "Traceback" not in err

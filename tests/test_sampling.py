@@ -167,9 +167,7 @@ def test_model_params_validation():
         ModelParams.fixed(3, 3, 1.5)
     with pytest.raises(InputError, match="need n >= 1, got n=0"):
         ModelParams.from_c(0, 0.5)
-
-
-def test_model_params_grid_positions_fit_int64():
+    # The samplers' int64 grid positions l*n + v bound n*m below 2^63.
     assert ModelParams.fixed(1 << 32, (1 << 31) - 1, 0.5).m == (1 << 31) - 1
     with pytest.raises(InputError, match="n=4294967296, m=2147483648"):
         ModelParams.fixed(1 << 32, 1 << 31, 0.5)
