@@ -200,7 +200,7 @@ def _two_core(adj: list[list[int]]) -> list[list[int]]:
 def _two_color(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     """BFS-parity signs, +1 at each component's smallest vertex, and the
     vertices of the components that are not bipartite.  O(n + e)."""
-    signs = [0] * len(adj)
+    signs = [0 if nbrs else 1 for nbrs in adj]  # an isolated vertex is done
     odd: list[int] = []
     for s in range(len(adj)):
         if signs[s]:
