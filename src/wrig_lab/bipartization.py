@@ -389,7 +389,8 @@ def expected_sequence_count(n: int, m: int, p: float, k: int) -> float:
     """Expected number of distinct closed vertex-label cycles of size k.
 
     Evaluates (1/k) * n!/(n-k)! * m!/(m-k)! * p^(2k) through log-factorials;
-    rotations of a cycle are identified, reflections are not.
+    rotations of a cycle are identified, reflections are not.  A value
+    beyond the float range is an InputError.
     """
     if not 1 <= k <= min(n, m):
         raise InputError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got {k}")
@@ -397,15 +398,20 @@ def expected_sequence_count(n: int, m: int, p: float, k: int) -> float:
         raise InputError(f"need 0 <= p <= 1, got p={p}")
     if p == 0.0:
         return 0.0
-    log_value = (
-        -math.log(k)
-        + math.lgamma(n + 1)
-        - math.lgamma(n - k + 1)
-        + math.lgamma(m + 1)
-        - math.lgamma(m - k + 1)
-        + 2 * k * math.log(p)
-    )
-    return math.exp(log_value)
+    try:
+        log_value = (
+            -math.log(k)
+            + math.lgamma(n + 1)
+            - math.lgamma(n - k + 1)
+            + math.lgamma(m + 1)
+            - math.lgamma(m - k + 1)
+            + 2 * k * math.log(p)
+        )
+        return math.exp(log_value)
+    except OverflowError:
+        raise InputError(
+            f"the expected count for n={n}, m={m}, p={p}, k={k} exceeds the float range"
+        ) from None
 
 
 def count_sequences_exact(R: RepresentationMatrix, k: int) -> int:

@@ -165,9 +165,6 @@ class Coloring:
     def __hash__(self) -> int:
         return hash(self.values.tobytes())
 
-    def negated(self) -> "Coloring":
-        return Coloring(-self.values)
-
 
 def _check_length(R: RepresentationMatrix, x: Coloring) -> None:
     if len(x) != R.n:

@@ -29,6 +29,13 @@ _SPARSE_THRESHOLD = 0.1
 # a time; Philox yields the same stream whatever the split.
 _DENSE_CHUNK_CELLS = 1 << 16
 
+# Bound on the expected number of ones n*m*p of one draw.  A one costs
+# about 42 bytes at the sparse path's peak (gaps, positions and their
+# label/vertex split, all int64) and 24 at the dense path's, against 8 in
+# the finished matrix, so 2^25 ones keep a draw near 1.4 GiB.  The dense
+# path runs only for p >= 0.1, so it visits at most 10 * 2^25 cells.
+_MAX_EXPECTED_ONES = 1 << 25
+
 
 def derive_rng(seed: Seed, *stream: int) -> np.random.Generator:
     """Independent Philox generator for the given seed and stream address."""
@@ -73,9 +80,11 @@ class ModelParams:
 
     @classmethod
     def from_c(cls, n: int, c: float) -> "ModelParams":
-        """m = n and p = c/n."""
+        """m = n and p = c/n, for 0 <= c <= n."""
         if n < 1:
             raise InputError(f"need n >= 1, got n={n}")
+        if not 0 <= c <= n:
+            raise InputError(f"need 0 <= c <= n, got c={c}, n={n}")
         return cls(n=n, m=n, p=c / n)
 
     def regime_warning(self) -> Optional[str]:
@@ -121,8 +130,15 @@ def sample_matrix(params: ModelParams, seed: Seed) -> RepresentationMatrix:
     Deterministic given (params, seed).  For p below 0.1 the sampler skips
     through the row-major entry grid with geometric gaps, costing time
     proportional to the number of ones instead of n*m; both code paths
-    sample the same distribution.
+    sample the same distribution.  More than ``_MAX_EXPECTED_ONES`` expected
+    ones is an InputError, raised before anything is drawn.
     """
+    ones = params.n * params.m * params.p
+    if ones > _MAX_EXPECTED_ONES:
+        raise InputError(
+            f"expected n*m*p = {ones:.4g} ones exceeds the sampler's bound "
+            f"{_MAX_EXPECTED_ONES} for n={params.n}, m={params.m}, p={params.p}"
+        )
     if params.p < _SPARSE_THRESHOLD:
         return _sample_sparse(params, derive_rng(seed))
     return _sample_dense(params, derive_rng(seed))

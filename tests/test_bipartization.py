@@ -481,6 +481,11 @@ def test_expected_sequence_count_values():
     for p in (2.0, -0.5, math.nan):
         with pytest.raises(InputError, match=f"got p={p}"):
             expected_sequence_count(5, 5, p, 3)
+    # (1/k) n!/(n-k)! m!/(m-k)! is about e^22000 here, and n = 10^400 has no
+    # float at all.
+    for n, m, k in ((100_000, 100_000, 1000), (10**400, 5, 2)):
+        with pytest.raises(InputError, match=f"n={n}, m={m}, p=1.0, k={k} exceeds the float range"):
+            expected_sequence_count(n, m, 1.0, k)
 
 
 def test_monte_carlo_count_tracks_expectation_small():

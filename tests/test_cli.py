@@ -48,6 +48,13 @@ def test_sample_alpha_and_c_modes(tmp_path, capsys):
     assert main(["sample", "--n", "0", "--c", "0.5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: need n >= 1") and "Traceback" not in err
+    # c = n np is at most n, and is named as c
+    assert main(["sample", "--n", "100", "--c", "200"]) == 1
+    assert capsys.readouterr().err == "error: need 0 <= c <= n, got c=200.0, n=100\n"
+    # 10^12 cells at p = 0.1 fail at once, before any cell is drawn
+    assert main(["sample", "--n", "10", "--m", "1000000000000", "--p", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith("error: expected n*m*p = 1e+12 ones exceeds")
 
 
 def test_solve_json_and_coloring_file(matrix_file, tmp_path, capsys):
@@ -154,6 +161,10 @@ def test_count_sequences_exact_and_expected(matrix_file, capsys):
         assert main(["count-sequences", "--expect", "--n", "5", "--m", "5",
                      "--p", p, "--k", "3"]) == 1
         assert capsys.readouterr().err.startswith("error: need 0 <= p <= 1")
+    assert main(["count-sequences", "--expect", "--n", "100000", "--m", "100000",
+                 "--p", "1", "--k", "1000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the expected count for n=100000") and "Traceback" not in err
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from wrig_lab.core import InputError
+from wrig_lab import sampling
 from wrig_lab.sampling import (
     ModelParams,
     _sample_dense,
@@ -167,12 +168,29 @@ def test_model_params_validation():
         ModelParams.fixed(3, 3, 1.5)
     with pytest.raises(InputError, match="need n >= 1, got n=0"):
         ModelParams.from_c(0, 0.5)
+    for c in (200, -0.5, math.nan):
+        with pytest.raises(InputError, match=rf"need 0 <= c <= n, got c={c}, n=100"):
+            ModelParams.from_c(100, c)
+    assert ModelParams.from_c(100, 100).p == 1.0
     # The samplers' int64 grid positions l*n + v bound n*m below 2^63.
     assert ModelParams.fixed(1 << 32, (1 << 31) - 1, 0.5).m == (1 << 31) - 1
     with pytest.raises(InputError, match="n=4294967296, m=2147483648"):
         ModelParams.fixed(1 << 32, 1 << 31, 0.5)
     with pytest.raises(InputError, match=r"need n\*m < 2\^63, got n=10, m=1000"):
         ModelParams.from_alpha(10, 300, 0.1)
+
+
+def test_sampler_bounds_the_expected_ones(monkeypatch):
+    # Both paths refuse before drawing: 10^12 ones on the dense path (10^13
+    # cells), 10^10 on the sparse one.
+    for p in (0.1, 0.001):
+        with pytest.raises(InputError, match=r"exceeds the sampler's bound 33554432"):
+            sample_matrix(ModelParams.fixed(10, 10**13, p), seed=0)
+    monkeypatch.setattr(sampling, "_MAX_EXPECTED_ONES", 100)
+    assert sample_matrix(ModelParams.fixed(10, 10, 1.0), seed=0).diagonal_sum() == 100
+    for m, p in ((11, 1.0), (2000, 0.0051)):
+        with pytest.raises(InputError, match=rf"for n=10, m={m}, p={p}$"):
+            sample_matrix(ModelParams.fixed(10, m, p), seed=0)
 
 
 def test_alpha_floor_uses_exact_powers():
