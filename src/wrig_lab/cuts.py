@@ -26,8 +26,8 @@ DEFAULT_BRUTE_FORCE_CAP = 24
 # parity floor is reached but pay numpy's per-call cost more often (min-
 # discrepancy makes three calls per label and block); larger ones slow
 # max-cut.  Per call over 200 matrices at n = m = 16, p = 0.2 on 2 CPUs,
-# median of 7: 2^11 took 0.56 ms (max-cut) and 0.70 ms (min-discrepancy),
-# 2^13 0.41 and 0.36 ms, 2^15 0.83 and 0.33 ms.
+# median of 7: 2^11 took 0.34 ms (max-cut) and 0.49 ms (min-discrepancy),
+# 2^13 0.32 and 0.26 ms, 2^15 0.55 and 0.27 ms.
 _BLOCK_SCORES = 1 << 13
 
 

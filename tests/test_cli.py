@@ -48,7 +48,7 @@ def test_sample_alpha_and_c_modes(tmp_path, capsys):
     assert main(["sample", "--n", "0", "--c", "0.5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: need n >= 1") and "Traceback" not in err
-    # c = n np is at most n, and is named as c
+    # c = np cannot exceed n, and the error names c
     assert main(["sample", "--n", "100", "--c", "200"]) == 1
     assert capsys.readouterr().err == "error: need 0 <= c <= n, got c=200.0, n=100\n"
     # 10^12 cells at p = 0.1 fail at once, before any cell is drawn

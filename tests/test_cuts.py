@@ -314,22 +314,20 @@ def test_brute_force_matches_enumeration_oracle(block_scores, R):
 # exact-oracles config at its first four experiment seeds, captured while
 # the oracles still walked every coloring: the optima and their tie-break
 # must not move.
-EXACT_ORACLES = {"regime": "fixed", "n": 16, "m": 16, "p": 0.2, "trials": 10}
-ORACLE_COLUMNS = ("exact_weight", "exact_disc", "mindisc_weight", "mindisc_disc")
-
-
 PINNED_ORACLE_COLUMNS = {
     2009: "ad98373676cf27e945b3c7a075875f86a6757bbad1e25ac7daec1343231c206c",
     1002012: "6cf6040d72777a1e5fed5152b721524027b8afd4e8c7a4a11f4323d320c4d633",
     2002015: "055388537f47b97e3ad220fd7f67c4487381fe365078206146dcbad4259c510e",
     3002018: "db0f713a00010f15491dddee7c1dba677d0877aa5025b1689b743f2d2aa709be",
 }
+ORACLE_COLUMNS = ("exact_weight", "exact_disc", "mindisc_weight", "mindisc_disc")
 
 
 @pytest.mark.parametrize("seed", sorted(PINNED_ORACLE_COLUMNS))
 def test_oracle_columns_are_pinned(seed):
     spec = ExperimentSpec.from_dict(
-        {**EXACT_ORACLES, "algorithms": ["exact", "mindisc"], "seed": seed}
+        {"regime": "fixed", "n": 16, "m": 16, "p": 0.2, "trials": 10,
+         "algorithms": ["exact", "mindisc"], "seed": seed}
     )
     records, _ = run_experiment(spec, workers=1)
     text = "".join(

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from wrig_lab.core import InputError
 from wrig_lab import sampling
+from wrig_lab.core import InputError
 from wrig_lab.sampling import (
     ModelParams,
     _sample_dense,
