@@ -1,10 +1,11 @@
 """Randomized cut heuristics and exact exponential oracles.
 
 The two heuristics (uniform random cut, majority cut) are cheap and seeded.
-The two oracles share one meet-in-the-middle enumeration of all 2^(n-1)
+The two oracles share one meet-in-the-middle enumeration of the 2^(n-1)
 bipartitions with x_0 fixed to +1 (negating a coloring never changes a cut
-weight or a discrepancy) and are capped at a vertex count where a desk run
-still finishes in seconds.
+weight or a discrepancy), which stops once a coloring reaches the parity
+floor no coloring can beat, and are capped at a vertex count where a desk
+run still finishes in seconds.
 """
 
 from __future__ import annotations
