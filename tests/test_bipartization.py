@@ -332,6 +332,8 @@ def test_bipartization_runs_are_pinned(case):
             R = sample_matrix(params, matrix_seed)
             out = weak_bipartization(R, run_seed, max_rematch=spec.max_rematch)
             lines.append(_run_line(out))
+            if out.terminated:
+                _assert_h_bipartite(out, extract_coloring(out))
             pair_labels = Counter(p for m in out.matchings for p in m)
             seen["terminated"] += out.terminated
             seen["weak_cycles"] += bool(out.zero_strong_cycles)
@@ -367,31 +369,35 @@ def test_extracted_coloring_balances_single_strong_label():
 
 def test_extracted_coloring_edge_free_all_plus():
     out = weak_bipartization(EDGE_FREE, seed=0)
-    assert tuple(extract_coloring(out).values) == (1, 1, 1, 1)
+    x = extract_coloring(out)
+    assert tuple(x.values) == (1, 1, 1, 1)
+    _assert_h_bipartite(out, x)
 
 
-def _assert_h_bipartite(out):
-    # Independent parity check of skeleton minus excluded via fresh BFS.
-    adj = {}
+def _assert_h_bipartite(out, x):
+    # Independent check that x 2-colours skeleton minus excluded: every kept
+    # matching edge joins opposite colours, and each component's smallest
+    # vertex (an isolated vertex included) is +1.
+    signs = x.values.tolist()
+    adj = [[] for _ in signs]
     for l, matching in enumerate(out.matchings):
         for u, v in matching:
             if (u, v, l) not in out.excluded:
-                adj.setdefault(u, []).append(v)
-                adj.setdefault(v, []).append(u)
-    color = {}
-    for start in adj:
-        if start in color:
+                assert signs[u] == -signs[v], (u, v, l)
+                adj[u].append(v)
+                adj[v].append(u)
+    seen = set()
+    for start in range(len(signs)):
+        if start in seen:
             continue
-        color[start] = 0
+        assert signs[start] == 1, start
+        seen.add(start)
         stack = [start]
         while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = color[u] ^ 1
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
                     stack.append(w)
-                else:
-                    assert color[w] != color[u]
 
 
 @pytest.mark.parametrize("trial", range(60))
@@ -404,9 +410,8 @@ def test_terminated_runs_satisfy_structure_invariants(trial):
         assert len(matching) == len(R.label_sets[l]) // 2
     for _, _, l in out.excluded:
         assert len(R.label_sets[l]) == 2
-    _assert_h_bipartite(out)
-
     x = extract_coloring(out)
+    _assert_h_bipartite(out, x)
     sums = row_sums(R, x)
     excluded_labels = {l for _, _, l in out.excluded}
     for l, s in enumerate(sums):
