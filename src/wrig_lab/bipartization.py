@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -110,35 +110,33 @@ class BipartizationOutcome:
 
     ``matchings`` holds each label's final matching and ``excluded`` the
     weak edges (u, v, label) the last detection pass set aside; the
-    skeleton is the union of the matchings.  ``codd_encounters`` counts the
-    distinct repairable odd cycles the detector returned over the whole run
-    (re-findings of the same cycle after an unlucky re-match are not double
-    counted).
+    skeleton is the union of the matchings.  ``coloring`` is that pass's
+    2-coloring of the skeleton minus ``excluded``, None if the run did not
+    terminate.  ``codd_encounters`` counts the distinct repairable odd
+    cycles the detector returned over the whole run (re-findings of the
+    same cycle after an unlucky re-match are not double counted).
     """
 
     terminated: bool
     iterations: int
-    R: RepresentationMatrix
     matchings: tuple[tuple[Pair, ...], ...]
     excluded: frozenset[ExcludedEdge]
     zero_strong_cycles: tuple[VertexLabelSequence, ...]
     label_disjoint: bool
+    coloring: Optional[Coloring]
     codd_encounters: int = 0
 
 
 def _skeleton(
-    n: int,
-    matchings: Sequence[Iterable[Pair]],
-    excluded: Collection[ExcludedEdge] = (),
+    n: int, matchings: Sequence[Iterable[Pair]]
 ) -> tuple[dict[Pair, list[int]], list[list[int]]]:
-    """Union of per-label pair lists (each pair u < v) minus excluded, as a
-    simple graph: the labels of each pair in ascending order, and each
-    vertex's sorted neighbours."""
+    """Union of per-label pair lists (each pair u < v) as a simple graph:
+    the labels of each pair in ascending order, and each vertex's sorted
+    neighbours."""
     pairs: dict[Pair, list[int]] = {}
     for l, matching in enumerate(matchings):
         for u, v in matching:
-            if (u, v, l) not in excluded:
-                pairs.setdefault((u, v), []).append(l)
+            pairs.setdefault((u, v), []).append(l)
     adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in pairs:
         adj[u].append(v)
@@ -271,17 +269,22 @@ def _cycle_labels(
 def find_codd_member(
     R: RepresentationMatrix, matchings: Sequence[Sequence[Pair]]
 ) -> tuple[
-    Optional[VertexLabelSequence], list[VertexLabelSequence], set[ExcludedEdge], bool
+    Optional[VertexLabelSequence],
+    list[VertexLabelSequence],
+    set[ExcludedEdge],
+    bool,
+    Optional[Coloring],
 ]:
     """Search the skeleton of ``matchings`` for a repairable odd cycle.
 
-    Returns ``(member, zero_strong, excluded, label_disjoint)``.  ``member``
-    is a shortest odd cycle that carries at least one strong label, or None
-    once the skeleton minus ``excluded`` is bipartite.  Odd cycles made
-    purely of weak labels are recorded in ``zero_strong`` instead: one edge
-    of each (the one with the smallest label) moves to ``excluded`` and the
-    search continues.  Recording a cycle that shares a label with an earlier
-    recorded one clears ``label_disjoint``.
+    Returns ``(member, zero_strong, excluded, label_disjoint, coloring)``.
+    ``member`` is a shortest odd cycle that carries at least one strong
+    label, or None once the skeleton minus ``excluded`` is bipartite, and
+    only then is ``coloring`` not None: that graph's BFS-parity 2-coloring.
+    Odd cycles made purely of weak labels are recorded in ``zero_strong``
+    instead: one edge of each (the one with the smallest label) moves to
+    ``excluded`` and the search continues.  Recording a cycle that shares a
+    label with an earlier recorded one clears ``label_disjoint``.
 
     Minimality makes the returned cycle simple in its vertices, and a weak
     label can never repeat along it (each contributes a single edge).  A
@@ -298,12 +301,15 @@ def find_codd_member(
     while True:
         cycle = _shortest_odd_cycle(adj)
         if cycle is None:
-            return None, zero_strong, excluded, label_disjoint
+            # adj is now the sorted simple graph of the skeleton minus excluded.
+            signs, odd = _two_color(adj)
+            assert not odd, "skeleton minus excluded is not bipartite"
+            return None, zero_strong, excluded, label_disjoint, Coloring(tuple(signs))
         labels = _cycle_labels(pairs, strong, cycle)
         assert len(set(cycle)) == len(cycle), "detector returned repeated vertices"
         seq = VertexLabelSequence.from_cycle(R, cycle, labels)
         if seq.strength > 0:
-            return seq, zero_strong, excluded, label_disjoint
+            return seq, zero_strong, excluded, label_disjoint, None
 
         if recorded_labels.intersection(labels):
             label_disjoint = False
@@ -346,7 +352,7 @@ def weak_bipartization(
     while True:
         # Looked up at call time, so a wrapper at the module attribute sees
         # every pass.
-        member, zero_strong, excluded, label_disjoint = find_codd_member(R, matchings)
+        member, zero_strong, excluded, label_disjoint, coloring = find_codd_member(R, matchings)
         if member is None:
             terminated = True
             break
@@ -360,11 +366,11 @@ def weak_bipartization(
     return BipartizationOutcome(
         terminated=terminated,
         iterations=iterations,
-        R=R,
         matchings=tuple(matchings),
         excluded=frozenset(excluded),
         zero_strong_cycles=tuple(zero_strong),
         label_disjoint=label_disjoint,
+        coloring=coloring,
         codd_encounters=len(encountered),
     )
 
@@ -379,10 +385,7 @@ def extract_coloring(outcome: BipartizationOutcome) -> Coloring:
     """
     if not outcome.terminated:
         raise InputError("cannot extract a coloring from a non-terminated run")
-    _, adj = _skeleton(outcome.R.n, outcome.matchings, outcome.excluded)
-    signs, odd = _two_color(adj)
-    assert not odd, "skeleton minus excluded is not bipartite"
-    return Coloring(tuple(signs))
+    return outcome.coloring
 
 
 def expected_sequence_count(n: int, m: int, p: float, k: int) -> float:

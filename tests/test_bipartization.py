@@ -152,10 +152,11 @@ def test_shortest_odd_cycle_cases(case):
 
 
 def test_detector_records_weak_triangle_and_reports_absent():
-    member, zero_strong, excluded, disjoint = find_codd_member(
+    member, zero_strong, excluded, disjoint, coloring = find_codd_member(
         WEAK_TRIANGLE, [[(0, 1)], [(1, 2)], [(0, 2)]]
     )
     assert member is None
+    assert tuple(coloring.values) == (1, 1, -1)  # the path 0 - 2 - 1 left over
     assert len(zero_strong) == 1
     assert zero_strong[0].vertices == (0, 1, 2)
     assert zero_strong[0].strength == 0
@@ -164,10 +165,11 @@ def test_detector_records_weak_triangle_and_reports_absent():
 
 
 def test_detector_returns_strong_cycle():
-    member, zero_strong, excluded, disjoint = find_codd_member(
+    member, zero_strong, excluded, disjoint, coloring = find_codd_member(
         STRONG_MIX, [[(0, 1)], [(1, 2)], [(0, 2)]]
     )
     assert member is not None
+    assert coloring is None
     assert member.vertices == (0, 1, 2)
     assert member.labels == (0, 1, 2)
     assert member.strength == 1
@@ -177,10 +179,11 @@ def test_detector_returns_strong_cycle():
 
 
 def test_detector_absent_on_bipartite_skeleton():
-    member, zero_strong, excluded, _ = find_codd_member(
+    member, zero_strong, excluded, _, coloring = find_codd_member(
         STRONG_MIX, [[(0, 3)], [(1, 2)], [(0, 2)]]
     )
     assert member is None
+    assert tuple(coloring.values) == (1, 1, -1, -1)  # the path 3 - 0 - 2 - 1
     assert not zero_strong
     assert not excluded
 
@@ -189,7 +192,7 @@ def test_detector_handles_repeated_strong_label():
     # A dense strong label can contribute two matching edges to one shortest
     # odd cycle; the cycle is still a repair member (strength counts both).
     R = RepresentationMatrix.from_label_sets(5, [[0, 1, 2, 3], [1, 2], [3, 4], [0, 4]])
-    member, _, _, _ = find_codd_member(R, [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)], [(0, 4)]])
+    member, _, _, _, _ = find_codd_member(R, [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)], [(0, 4)]])
     assert member.vertices == (0, 1, 2, 3, 4)
     assert member.labels == (0, 1, 0, 2, 3)
     assert member.strength == 2
@@ -208,7 +211,7 @@ def test_detector_flags_label_sharing():
     R = RepresentationMatrix.from_label_sets(
         4, [[0, 1], [1, 2], [0, 2], [2, 3], [1, 3]]
     )
-    member, zero_strong, excluded, disjoint = find_codd_member(
+    member, zero_strong, excluded, disjoint, _ = find_codd_member(
         R, [[(0, 1)], [(1, 2)], [(0, 2)], [(2, 3)], [(1, 3)]]
     )
     assert member is None
@@ -221,7 +224,7 @@ def test_detector_keeps_a_pair_another_label_covers():
     # Weak labels 0 and 1 both cover {0, 1}: excluding label 0's edge there
     # leaves label 1's, so the triangle is found again and label 1 goes too.
     R = RepresentationMatrix.from_label_sets(3, [[0, 1], [0, 1], [1, 2], [0, 2]])
-    member, zero_strong, excluded, disjoint = find_codd_member(
+    member, zero_strong, excluded, disjoint, _ = find_codd_member(
         R, [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]]
     )
     assert member is None
