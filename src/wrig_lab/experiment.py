@@ -14,13 +14,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
-from os import cpu_count
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -307,8 +307,10 @@ def run_experiment(
 ) -> tuple[list[TrialRecord], "SummaryStats"]:
     """Execute every (grid point, trial) work item and aggregate statistics.
 
-    Records stream to ``spec.output`` (CSV) in (grid, trial) order as they
-    arrive; the summary goes to ``spec.summary`` (JSON).  Output bytes are
+    Records stream in (grid, trial) order, as they arrive, to a temporary
+    file next to ``spec.output`` (CSV) that replaces it once every trial has
+    run and is removed if one fails; the summary goes to ``spec.summary``
+    (JSON).  Output bytes are
     invariant to the worker count.  ``workers`` overrides ``spec.workers``
     under the same rule.
     """
@@ -319,7 +321,7 @@ def run_experiment(
 
     if workers is not None:
         spec = replace(spec, workers=workers)
-    count = spec.workers or cpu_count() or 1
+    count = spec.workers or os.cpu_count() or 1
     tasks = [
         (grid_id, trial)
         for grid_id in range(len(spec.grid))
@@ -330,7 +332,9 @@ def run_experiment(
     with ExitStack() as stack:
         out = None
         if spec.output:
-            out = stack.enter_context(Path(spec.output).open("w", encoding="utf-8", newline="\n"))
+            staged = Path(f"{spec.output}.tmp")
+            out = stack.enter_context(staged.open("w", encoding="utf-8", newline="\n"))
+            stack.callback(staged.unlink, missing_ok=True)  # a no-op once renamed
             out.write(CSV_SCHEMA_LINE + "\n")
             out.write(",".join(CSV_COLUMNS) + "\n")
         run = partial(_run_trial, spec)
@@ -343,6 +347,9 @@ def run_experiment(
             records.append(record)
             if out is not None:
                 out.write(record_to_csv_row(record) + "\n")
+        if out is not None:
+            out.close()
+            os.replace(staged, spec.output)
 
     stats = summarize(records, name=spec.name)
     if spec.summary:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from wrig_lab.core import InputError, RepresentationMatrix
+from wrig_lab import experiment
 from wrig_lab.cuts import random_cut
 from wrig_lab.experiment import (
     CSV_COLUMNS,
@@ -214,6 +215,30 @@ def test_run_produces_dominated_records(tmp_path):
     assert len(lines) == 2 + 3
     # wall times never reach the CSV
     assert stats.grid[0].algorithms["exact"].mean_wall_time is not None
+
+
+def test_failed_run_leaves_the_old_csv(tmp_path, monkeypatch):
+    out = tmp_path / "r.csv"
+    out.write_text("an earlier run\n")
+    spec = make_spec(trials=3, output=str(out))
+    draw = experiment.sample_matrix
+    calls = []
+
+    def failing_second_draw(params, seed):
+        calls.append(seed)
+        if len(calls) == 2:
+            raise RuntimeError("trial failed")
+        return draw(params, seed)
+
+    monkeypatch.setattr(experiment, "sample_matrix", failing_second_draw)
+    with pytest.raises(RuntimeError, match="trial failed"):
+        run_experiment(spec, workers=1)
+    assert out.read_text() == "an earlier run\n"
+    assert list(tmp_path.iterdir()) == [out]
+    monkeypatch.setattr(experiment, "sample_matrix", draw)
+    run_experiment(spec, workers=1)
+    assert out.read_text().startswith("# wrig-lab schema 1\n")
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_worker_counts_do_not_change_bytes(tmp_path):
