@@ -40,7 +40,6 @@ from .sampling import (
     Seed,
     derive_rng,
     derive_seed,
-    expected_edge_weight_sum,
     sample_matrix,
 )
 
@@ -66,7 +65,6 @@ __all__ = [
     "derive_rng",
     "derive_seed",
     "discrepancy",
-    "expected_edge_weight_sum",
     "expected_sequence_count",
     "extract_coloring",
     "majority_cut",

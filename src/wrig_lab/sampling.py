@@ -119,11 +119,6 @@ def label_count_for_alpha(n: int, alpha: float) -> int:
         raise InputError(f"n**alpha is no finite label count for n={n}, alpha={alpha}") from None
 
 
-def expected_edge_weight_sum(params: ModelParams) -> float:
-    """Expected sum of off-diagonal entries of R^T R: n(n-1) m p^2."""
-    return params.n * (params.n - 1) * params.m * params.p**2
-
-
 def sample_matrix(params: ModelParams, seed: Seed) -> RepresentationMatrix:
     """Draw a representation matrix with iid Bernoulli(p) entries.
 

@@ -12,7 +12,6 @@ from wrig_lab.sampling import (
     _sample_sparse,
     derive_rng,
     derive_seed,
-    expected_edge_weight_sum,
     label_count_for_alpha,
     sample_matrix,
 )
@@ -145,18 +144,6 @@ def test_sparse_path_is_used_and_agrees_on_marginal():
     )
     se = math.sqrt(0.05 * 0.95 / trials)
     assert abs(hits / trials - 0.05) <= 4 * se
-
-
-@pytest.mark.parametrize(
-    "params,expected",
-    [
-        (ModelParams.fixed(3, 2, 0.5), 3.0),
-        (ModelParams.fixed(9, 4, 0.0), 0.0),
-        (ModelParams.from_c(1000, 2.0), 999 * 1000 * 1000 * 4e-6),
-    ],
-)
-def test_expected_edge_weight_sum(params, expected):
-    assert expected_edge_weight_sum(params) == pytest.approx(expected, rel=1e-12)
 
 
 def test_model_params_validation():
