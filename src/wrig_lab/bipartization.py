@@ -31,9 +31,11 @@ ExcludedEdge = tuple[int, int, int]  # (u, v, label) with u < v
 
 STRONG_MIN_SIZE = 3
 
-# Largest cycle size and vertex count that count_sequences_exact enumerates.
+# Largest cycle size and vertex count that count_sequences_exact enumerates,
+# and largest cycle size whose expected count is summed (a pair of logs per step).
 SEQUENCE_MAX_K = 4
 SEQUENCE_MAX_N = 12
+EXPECTED_MAX_K = 2**20
 
 
 def default_max_rematch(n: int) -> int:
@@ -99,9 +101,6 @@ class VertexLabelSequence:
             labels=tuple(labels[j:]) + tuple(labels[:j]),
             strength=int((R.sizes[list(labels)] >= STRONG_MIN_SIZE).sum()),
         )
-
-    def __len__(self) -> int:
-        return len(self.labels)
 
 
 @dataclass(frozen=True)
@@ -354,17 +353,15 @@ def weak_bipartization(
         # every pass.
         member, zero_strong, excluded, label_disjoint, coloring = find_codd_member(R, matchings)
         if member is None:
-            terminated = True
             break
         encountered.add((member.vertices, member.labels))
         if iterations >= max_rematch:
-            terminated = False
             break
         label = min(l for l in member.labels if strong[l])
         matchings[label] = random_maximal_matching(_members(R, label), rng)
         iterations += 1
     return BipartizationOutcome(
-        terminated=terminated,
+        terminated=coloring is not None,
         iterations=iterations,
         matchings=tuple(matchings),
         excluded=frozenset(excluded),
@@ -391,26 +388,23 @@ def extract_coloring(outcome: BipartizationOutcome) -> Coloring:
 def expected_sequence_count(n: int, m: int, p: float, k: int) -> float:
     """Expected number of distinct closed vertex-label cycles of size k.
 
-    Evaluates (1/k) * n!/(n-k)! * m!/(m-k)! * p^(2k) through log-factorials;
-    rotations of a cycle are identified, reflections are not.  A value
+    Evaluates (1/k) * n!/(n-k)! * m!/(m-k)! * p^(2k) as the sum of the k
+    falling-factorial logs log((n-i) p) + log((m-i) p), which stays exact
+    when n or m is far above k; rotations of a cycle are identified,
+    reflections are not.  k is capped at ``EXPECTED_MAX_K``, and a value
     beyond the float range is an InputError.
     """
     if not 1 <= k <= min(n, m):
         raise InputError(f"need 1 <= k <= min(n, m) = {min(n, m)}, got {k}")
+    if k > EXPECTED_MAX_K:
+        raise InputError(f"k={k} exceeds the cap {EXPECTED_MAX_K}")
     if not 0.0 <= p <= 1.0:
         raise InputError(f"need 0 <= p <= 1, got p={p}")
     if p == 0.0:
         return 0.0
     try:
-        log_value = (
-            -math.log(k)
-            + math.lgamma(n + 1)
-            - math.lgamma(n - k + 1)
-            + math.lgamma(m + 1)
-            - math.lgamma(m - k + 1)
-            + 2 * k * math.log(p)
-        )
-        return math.exp(log_value)
+        terms = (math.log((n - i) * p) + math.log((m - i) * p) for i in range(k))
+        return math.exp(math.fsum(terms) - math.log(k))
     except OverflowError:
         raise InputError(
             f"the expected count for n={n}, m={m}, p={p}, k={k} exceeds the float range"

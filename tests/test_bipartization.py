@@ -15,6 +15,7 @@ from helpers import (
     simple_graphs,
 )
 from wrig_lab.bipartization import (
+    EXPECTED_MAX_K,
     VertexLabelSequence,
     _shortest_odd_cycle,
     count_sequences_exact,
@@ -482,10 +483,18 @@ def test_expected_sequence_count_values():
     assert expected_sequence_count(5, 5, 0.2, 3) == pytest.approx(0.0768, abs=1e-12)
     assert expected_sequence_count(8, 8, 0.25, 1) == pytest.approx(8 * 8 * 0.25**2, rel=1e-12)
     assert expected_sequence_count(5, 5, 0.0, 2) == 0.0
+    # n or m far above k: each falling-factorial log is summed, so nothing
+    # cancels (log-factorial differences gave 1.0 and 0.33726 here).
+    assert expected_sequence_count(5, 10**20, 1.0, 5) == pytest.approx(24e100, rel=1e-12)
+    assert expected_sequence_count(10**12, 10**12, 1e-12, 3) == pytest.approx(
+        (1 - 1e-12) ** 2 * (1 - 2e-12) ** 2 / 3, rel=1e-12
+    )
     with pytest.raises(ValueError):
         expected_sequence_count(5, 5, 0.2, 0)
     with pytest.raises(ValueError):
         expected_sequence_count(5, 5, 0.2, 6)
+    with pytest.raises(InputError, match=f"k={EXPECTED_MAX_K + 1} exceeds the cap"):
+        expected_sequence_count(10**7, 10**7, 1e-7, EXPECTED_MAX_K + 1)
     for p in (2.0, -0.5, math.nan):
         with pytest.raises(InputError, match=f"got p={p}"):
             expected_sequence_count(5, 5, p, 3)

@@ -165,6 +165,14 @@ def test_count_sequences_exact_and_expected(matrix_file, capsys):
                  "--p", "1", "--k", "1000"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: the expected count for n=100000") and "Traceback" not in err
+    # m far above k: (1/5) 5! (10^20)^5, which log-factorial differences
+    # lost to cancellation (they gave 1.0).
+    assert main(["count-sequences", "--expect", "--n", "5", "--m", str(10**20),
+                 "--p", "1", "--k", "5"]) == 0
+    assert float(capsys.readouterr().out) == pytest.approx(2.4e101, rel=1e-12)
+    assert main(["count-sequences", "--expect", "--n", "5", "--m", "5",
+                 "--p", "0.2", "--k", str(2**20 + 1)]) == 1
+    capsys.readouterr()
 
 
 def test_experiment_subcommand(tmp_path, capsys):
