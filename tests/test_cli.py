@@ -170,9 +170,9 @@ def test_count_sequences_exact_and_expected(matrix_file, capsys):
     assert main(["count-sequences", "--expect", "--n", "5", "--m", str(10**20),
                  "--p", "1", "--k", "5"]) == 0
     assert float(capsys.readouterr().out) == pytest.approx(2.4e101, rel=1e-12)
-    assert main(["count-sequences", "--expect", "--n", "5", "--m", "5",
-                 "--p", "0.2", "--k", str(2**20 + 1)]) == 1
-    capsys.readouterr()
+    assert main(["count-sequences", "--expect", "--n", "10000000", "--m", "10000000",
+                 "--p", "1e-7", "--k", str(2**20 + 1)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: k={2**20 + 1} exceeds the cap")
 
 
 def test_experiment_subcommand(tmp_path, capsys):
