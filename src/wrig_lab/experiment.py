@@ -310,9 +310,8 @@ def run_experiment(
     Records stream in (grid, trial) order, as they arrive, to a temporary
     file next to ``spec.output`` (CSV) that replaces it once every trial has
     run and is removed if one fails; the summary goes to ``spec.summary``
-    (JSON).  Output bytes are
-    invariant to the worker count.  ``workers`` overrides ``spec.workers``
-    under the same rule.
+    (JSON).  Output bytes are invariant to the worker count.  ``workers``
+    overrides ``spec.workers`` under the same rule.
     """
     for point in spec.grid:
         message = point.regime_warning()

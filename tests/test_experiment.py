@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrig_lab.core import InputError, RepresentationMatrix
 from wrig_lab import experiment
+from wrig_lab.core import InputError, RepresentationMatrix
 from wrig_lab.cuts import random_cut
 from wrig_lab.experiment import (
     CSV_COLUMNS,
