@@ -58,6 +58,29 @@ def test_random_cut_deterministic_per_seed():
     assert random_cut(TWO_PATH, 11) == random_cut(TWO_PATH, 11)
 
 
+# sha256 of the random-cut colorings over RANDOM_CUT_SEEDS, captured from
+# the int64 `integers(0, 2) * 2 - 1` build.  The experiment CSVs pin only
+# weights; these pin the colorings themselves.  Odd n matters because numpy
+# draws the bits from paired 32-bit words.
+RANDOM_CUT_SEEDS = (0, 1, 2009, 2**64 - 1)
+PINNED_RANDOM_CUTS = {
+    1: "ad95131bc0b799c0b1af477fb14fcf26a6a9f76079e48bf090acb7e8367bfd0e",
+    2: "68dde90126126441f601c4b4d49d0e9f7b6c2a557887d46a09b71b98d26c8bb5",
+    3: "3964483194776f0e4b0781b97ec57fda3c1d56187303d9031ac75bde5db4fb9f",
+    100: "afae854b86db09c77593e4b50ef7921bcc5c7476cb4dd53c227ab4c010a48155",
+    2**18 + 1: "19159bdfb02d07c425607eb0eaf1ced07c4e589f0f0ecedb75c3eb92d1da4ec0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_RANDOM_CUTS))
+def test_random_cut_colorings_are_pinned(n):
+    R = RepresentationMatrix.from_label_sets(n, [])
+    digest = hashlib.sha256()
+    for seed in RANDOM_CUT_SEEDS:
+        digest.update(random_cut(R, seed).coloring.values.tobytes())
+    assert digest.hexdigest() == PINNED_RANDOM_CUTS[n]
+
+
 # --- majority cut ---
 
 
