@@ -45,8 +45,10 @@ class CutResult:
 
 def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
     """Color every vertex independently and equiprobably, then score the cut."""
-    rng = derive_rng(seed)
-    x = Coloring(rng.integers(0, 2, size=R.n) * 2 - 1)
+    signs = derive_rng(seed).integers(0, 2, size=R.n).astype(np.int8)
+    signs *= 2
+    signs -= 1
+    x = Coloring(signs)
     return CutResult(coloring=x, weight=cut_weight(R, x))
 
 

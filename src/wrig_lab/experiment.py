@@ -242,10 +242,14 @@ def _trial_streams(seed: int, grid_id: int, trial: int) -> tuple[int, int, int, 
     return tuple(int(w) for w in words)
 
 
-def _audit_coloring(R: RepresentationMatrix, coloring: Coloring, weight: int, disc: int):
+def _audit_coloring(
+    R: RepresentationMatrix, coloring: Coloring, weight: int, disc: int, trial_name: str
+):
     restored = textio.parse_coloring(textio.format_coloring(coloring))
     if cut_weight(R, restored) != weight or discrepancy(R, restored) != disc:
-        raise RuntimeError("audit failed: recorded weights disagree with the coloring")
+        raise RuntimeError(
+            f"audit failed: recorded weights disagree with the coloring of {trial_name}"
+        )
 
 
 def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
@@ -287,7 +291,8 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
         values[f"{algo}_weight"] = weight
         values[f"{algo}_disc"] = disc
         if trial % AUDIT_EVERY == 0:
-            _audit_coloring(R, coloring, weight, disc)
+            trial_name = f"{algo} at grid_id={grid_id}, trial={trial}, seed={matrix_seed}"
+            _audit_coloring(R, coloring, weight, disc, trial_name)
 
     return TrialRecord(
         grid_id=grid_id,

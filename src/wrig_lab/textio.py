@@ -87,41 +87,47 @@ def read_matrix(path: PathLike) -> RepresentationMatrix:
 
 
 def format_coloring(x: Coloring) -> str:
-    if not len(x):
-        return "\n"
-    # Three bytes per vertex: sign, "1", then a space, or the final newline.
-    out = np.empty((len(x), 3), dtype=np.uint8)
-    out[:, 0] = np.where(x.values == 1, ord("+"), ord("-"))
-    out[:, 1] = ord("1")
-    out[:, 2] = ord(" ")
-    out[-1, 2] = ord("\n")
-    return out.tobytes().decode("ascii")
+    return _coloring_bytes(x.values).decode("ascii")
 
 
 def parse_coloring(text: str) -> Coloring:
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
-    if not _is_canonical(data):
+    data = text.encode("utf-8")
+    values = _signs(data)
+    # Canonical text, as format_coloring writes it, is read straight off
+    # its sign bytes; any other text is split into tokens.
+    if not (np.abs(values) == 1).all() or _coloring_bytes(values) != data:
         tokens = text.split()
         if not set(tokens) <= set(_COLORING_TOKENS):
             token = next(t for t in tokens if t not in _COLORING_TOKENS)
             raise InputError(f"coloring token must be +1 or -1, got {token!r}")
         if not tokens:
             raise InputError("empty coloring file")
-        data = np.frombuffer((" ".join(tokens) + "\n").encode("ascii"), dtype=np.uint8)
-    return Coloring(np.where(data[::3] == ord("+"), 1, -1))
+        values = _signs(" ".join(tokens).encode("ascii"))
+    return Coloring(values)
 
 
-def _is_canonical(data: np.ndarray) -> bool:
-    """True when ``data`` reads exactly as ``format_coloring`` writes."""
-    if len(data) == 0 or len(data) % 3:
-        return False
-    signs = data[::3]
-    return bool(
-        ((signs == ord("+")) | (signs == ord("-"))).all()
-        and (data[1::3] == ord("1")).all()
-        and (data[2:-1:3] == ord(" ")).all()
-        and data[-1] == ord("\n")
-    )
+def _signs(data: bytes) -> np.ndarray:
+    """Every third byte of ``data``, from the first, read as a sign.
+
+    A byte b reads as the int8 value "," - b: "+" is +1 and "-" is -1.  The
+    map is one to one in int8, so no other byte reads as +1 or -1.
+    """
+    signs = np.frombuffer(data, dtype=np.uint8)[::3]
+    return np.subtract(ord(","), signs, dtype=np.int8, casting="unsafe")
+
+
+def _coloring_bytes(values: np.ndarray) -> bytes:
+    """Canonical text of +1/-1 ``values``, as ``format_coloring`` writes it."""
+    if not len(values):
+        return b"\n"
+    # Three bytes per vertex: sign, "1", then a space, or the final newline.
+    # The sign byte is "," - x, the inverse of _signs.
+    out = np.empty((len(values), 3), dtype=np.uint8)
+    np.subtract(ord(","), values, out=out[:, 0], casting="unsafe")
+    out[:, 1] = ord("1")
+    out[:, 2] = ord(" ")
+    out[-1, 2] = ord("\n")
+    return out.tobytes()
 
 
 def write_coloring(x: Coloring, path: PathLike) -> None:

@@ -7,7 +7,8 @@ cannot hide behind themselves.  Likewise the weighted intersection graph
 scores a cut by summing crossing edges instead of the norm identity, and
 the majority reference visits every vertex in plain Python, the odd-cycle
 reference searches from every vertex of the whole graph, and the sequence
-count enumerates every vertex tuple and every label tuple.
+count enumerates every vertex tuple and every label tuple, and the coloring
+parser reads every text token by token.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from wrig_lab.bipartization import _odd_cycle_through
-from wrig_lab.core import Coloring, RepresentationMatrix
+from wrig_lab.core import Coloring, InputError, RepresentationMatrix
 from wrig_lab.sampling import Seed, derive_rng
 
 
@@ -132,6 +133,17 @@ def count_sequences_reference(R: RepresentationMatrix, k: int) -> int:
         ]
         total += sum(len(set(ls)) == k for ls in product(*holders))
     return total
+
+
+def parse_coloring_reference(text: str) -> Coloring:
+    """Coloring text read token by token, with the library parser's messages."""
+    tokens = text.split()
+    for token in tokens:
+        if token not in ("+1", "-1"):
+            raise InputError(f"coloring token must be +1 or -1, got {token!r}")
+    if not tokens:
+        raise InputError("empty coloring file")
+    return Coloring([1 if token == "+1" else -1 for token in tokens])
 
 
 def dense_matrix(R: RepresentationMatrix) -> np.ndarray:

@@ -241,6 +241,27 @@ def test_failed_run_leaves_the_old_csv(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_failed_audit_names_the_trial(tmp_path, monkeypatch):
+    out = tmp_path / "r.csv"
+    out.write_text("an earlier run\n")
+    spec = make_spec(p=0.5, algorithms=["random"], output=str(out))
+    parse = experiment.textio.parse_coloring
+
+    def parse_with_first_sign_flipped(text):
+        return parse(("-" if text[0] == "+" else "+") + text[1:])
+
+    monkeypatch.setattr(experiment.textio, "parse_coloring", parse_with_first_sign_flipped)
+    seed = experiment._trial_streams(spec.seed, 0, 0)[0]
+    message = (
+        "audit failed: recorded weights disagree with the coloring of "
+        f"random at grid_id=0, trial=0, seed={seed}"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        run_experiment(spec, workers=1)
+    assert out.read_text() == "an earlier run\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
 def test_worker_counts_do_not_change_bytes(tmp_path):
     a, b, c = (tmp_path / name for name in ("a.csv", "b.csv", "c.csv"))
     base = dict(trials=4, algorithms=["random", "majority", "bipartize"])

@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from helpers import matrices
-from wrig_lab.core import Coloring, RepresentationMatrix
+from helpers import matrices, parse_coloring_reference
+from wrig_lab.core import Coloring, InputError, RepresentationMatrix
 from wrig_lab.textio import (
     format_coloring,
     format_matrix,
@@ -105,3 +106,35 @@ def test_format_coloring_of_many_vertices_matches_token_join():
     text = format_coloring(Coloring(values))
     assert text == " ".join("+1" if v == 1 else "-1" for v in values) + "\n"
     assert tuple(parse_coloring(text).values) == tuple(values)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except InputError as error:
+        return str(error)
+
+
+EDIT_ALPHABET = "+-10 \n\tx\u2212"
+
+
+@settings(deadline=None, max_examples=400)
+@given(
+    values=st.lists(st.sampled_from((1, -1)), min_size=1, max_size=300),
+    edit=st.sampled_from(("none", "replace", "insert", "delete")),
+    position=st.integers(min_value=0),
+    char=st.sampled_from(EDIT_ALPHABET),
+)
+@example(values=[1, -1], edit="replace", position=3, char="\u2212")
+@example(values=[1, -1], edit="replace", position=5, char="\t")
+@example(values=[1], edit="delete", position=2, char="x")
+def test_parse_coloring_matches_the_token_reference(values, edit, position, char):
+    text = format_coloring(Coloring(values))
+    assert text == " ".join("+1" if v == 1 else "-1" for v in values) + "\n"
+    if edit == "insert":
+        i = position % (len(text) + 1)
+        text = text[:i] + char + text[i:]
+    elif edit != "none":
+        i = position % len(text)
+        text = text[:i] + (char if edit == "replace" else "") + text[i + 1 :]
+    assert _parsed(parse_coloring, text) == _parsed(parse_coloring_reference, text)
