@@ -111,9 +111,11 @@ class BipartizationOutcome:
     weak edges (u, v, label) the last detection pass set aside; the
     skeleton is the union of the matchings.  ``coloring`` is that pass's
     2-coloring of the skeleton minus ``excluded``, None if the run did not
-    terminate.  ``codd_encounters`` counts the distinct repairable odd
-    cycles the detector returned over the whole run (re-findings of the
-    same cycle after an unlucky re-match are not double counted).
+    terminate.  ``label_disjoint`` holds when no label lies on two of that
+    pass's ``zero_strong_cycles``.  ``codd_encounters`` counts the distinct
+    repairable odd cycles the detector returned over the whole run
+    (re-findings of the same cycle after an unlucky re-match are not double
+    counted).
     """
 
     terminated: bool
@@ -271,19 +273,17 @@ def find_codd_member(
     Optional[VertexLabelSequence],
     list[VertexLabelSequence],
     set[ExcludedEdge],
-    bool,
     Optional[Coloring],
 ]:
     """Search the skeleton of ``matchings`` for a repairable odd cycle.
 
-    Returns ``(member, zero_strong, excluded, label_disjoint, coloring)``.
+    Returns ``(member, zero_strong, excluded, coloring)``.
     ``member`` is a shortest odd cycle that carries at least one strong
     label, or None once the skeleton minus ``excluded`` is bipartite, and
     only then is ``coloring`` not None: that graph's BFS-parity 2-coloring.
     Odd cycles made purely of weak labels are recorded in ``zero_strong``
     instead: one edge of each (the one with the smallest label) moves to
-    ``excluded`` and the search continues.  Recording a cycle that shares a
-    label with an earlier recorded one clears ``label_disjoint``.
+    ``excluded`` and the search continues.
 
     Minimality makes the returned cycle simple in its vertices, and a weak
     label can never repeat along it (each contributes a single edge).  A
@@ -295,24 +295,19 @@ def find_codd_member(
     strong = _strong_labels(R)
     zero_strong: list[VertexLabelSequence] = []
     excluded: set[ExcludedEdge] = set()
-    recorded_labels: set[int] = set()
-    label_disjoint = True
     while True:
         cycle = _shortest_odd_cycle(adj)
         if cycle is None:
             # adj is now the sorted simple graph of the skeleton minus excluded.
             signs, odd = _two_color(adj)
             assert not odd, "skeleton minus excluded is not bipartite"
-            return None, zero_strong, excluded, label_disjoint, Coloring(tuple(signs))
+            return None, zero_strong, excluded, Coloring(tuple(signs))
         labels = _cycle_labels(pairs, strong, cycle)
         assert len(set(cycle)) == len(cycle), "detector returned repeated vertices"
         seq = VertexLabelSequence.from_cycle(R, cycle, labels)
         if seq.strength > 0:
-            return seq, zero_strong, excluded, label_disjoint, None
+            return seq, zero_strong, excluded, None
 
-        if recorded_labels.intersection(labels):
-            label_disjoint = False
-        recorded_labels.update(labels)
         zero_strong.append(seq)
         k = min(range(len(labels)), key=labels.__getitem__)
         u, w = sorted((cycle[k], cycle[(k + 1) % len(cycle)]))
@@ -351,7 +346,7 @@ def weak_bipartization(
     while True:
         # Looked up at call time, so a wrapper at the module attribute sees
         # every pass.
-        member, zero_strong, excluded, label_disjoint, coloring = find_codd_member(R, matchings)
+        member, zero_strong, excluded, coloring = find_codd_member(R, matchings)
         if member is None:
             break
         encountered.add((member.vertices, member.labels))
@@ -360,25 +355,27 @@ def weak_bipartization(
         label = min(l for l in member.labels if strong[l])
         matchings[label] = random_maximal_matching(_members(R, label), rng)
         iterations += 1
+    # A zero-strong cycle is simple and all its labels are weak, each covering
+    # one pair, so no label repeats within one: a repeat lies on two cycles.
+    labels = [l for seq in zero_strong for l in seq.labels]
     return BipartizationOutcome(
         terminated=coloring is not None,
         iterations=iterations,
         matchings=tuple(matchings),
         excluded=frozenset(excluded),
         zero_strong_cycles=tuple(zero_strong),
-        label_disjoint=label_disjoint,
+        label_disjoint=len(set(labels)) == len(labels),
         coloring=coloring,
         codd_encounters=len(encountered),
     )
 
 
 def extract_coloring(outcome: BipartizationOutcome) -> Coloring:
-    """BFS-parity 2-coloring of the bipartite graph skeleton minus excluded.
+    """``outcome.coloring`` of a terminated run; an InputError otherwise.
 
-    Each connected component is colored from its smallest vertex (+1 on even
-    layers, -1 on odd); isolated vertices get +1.  Every label whose edges
-    all survived ends up balanced to within its size parity, and each
-    excluded weak label ends up monochromatic.
+    No library code calls this: callers read ``outcome.coloring``, which is
+    None exactly when the run did not terminate.  It stays because the
+    benchmark's tracer (``bench/tracing.py``) wraps it by name.
     """
     if not outcome.terminated:
         raise InputError("cannot extract a coloring from a non-terminated run")

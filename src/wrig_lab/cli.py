@@ -66,11 +66,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_count = sub.add_parser("count-sequences", help="closed vertex-label cycle counts")
-    p_count.add_argument("--in", dest="infile", help="matrix file for the exact count")
-    p_count.add_argument("--k", type=int, required=True, help="cycle size")
-    p_count.add_argument(
+    source = p_count.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="matrix file for the exact count")
+    source.add_argument(
         "--expect", action="store_true", help="evaluate the expectation formula instead"
     )
+    p_count.add_argument("--k", type=int, required=True, help="cycle size")
     p_count.add_argument("--n", type=int, help="vertex count (with --expect)")
     p_count.add_argument("--m", type=int, help="label count (with --expect)")
     p_count.add_argument("--p", type=float, help="entry probability (with --expect)")
@@ -145,10 +146,9 @@ def cmd_bipartize(args) -> int:
         "cut_weight": None,
         "discrepancy": None,
     }
-    if outcome.terminated:
-        coloring = bipartization.extract_coloring(outcome)
-        payload["cut_weight"] = cut_weight(R, coloring)
-        payload["discrepancy"] = discrepancy(R, coloring)
+    if outcome.coloring is not None:
+        payload["cut_weight"] = cut_weight(R, outcome.coloring)
+        payload["discrepancy"] = discrepancy(R, outcome.coloring)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
@@ -169,8 +169,8 @@ def cmd_count_sequences(args) -> int:
         value = bipartization.expected_sequence_count(args.n, args.m, args.p, args.k)
         print(repr(value))
     else:
-        if not args.infile:
-            raise InputError("either --in or --expect is required")
+        if (args.n, args.m, args.p) != (None, None, None):
+            raise InputError("--n, --m and --p go only with --expect")
         R = textio.read_matrix(args.infile)
         print(bipartization.count_sequences_exact(R, args.k))
     return EXIT_OK

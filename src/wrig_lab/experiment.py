@@ -277,7 +277,7 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
                 bipartize_zero_strong=len(outcome.zero_strong_cycles),
                 bipartize_codd_encounters=outcome.codd_encounters,
             )
-            coloring = bipartization.extract_coloring(outcome) if outcome.terminated else None
+            coloring = outcome.coloring
             weight = None if coloring is None else cut_weight(R, coloring)
         else:
             result = cuts.solve(
@@ -316,7 +316,8 @@ def run_experiment(
     file next to ``spec.output`` (CSV) that replaces it once every trial has
     run and is removed if one fails; the summary goes to ``spec.summary``
     (JSON).  Output bytes are invariant to the worker count.  ``workers``
-    overrides ``spec.workers`` under the same rule.
+    overrides ``spec.workers`` under the same rule.  At most one process per
+    CPU and per trial is started.
     """
     for point in spec.grid:
         message = point.regime_warning()
@@ -325,12 +326,13 @@ def run_experiment(
 
     if workers is not None:
         spec = replace(spec, workers=workers)
-    count = spec.workers or os.cpu_count() or 1
     tasks = [
         (grid_id, trial)
         for grid_id in range(len(spec.grid))
         for trial in range(spec.trials)
     ]
+    cpus = os.cpu_count() or 1
+    count = min(spec.workers or cpus, cpus, len(tasks))
 
     records: list[TrialRecord] = []
     with ExitStack() as stack:

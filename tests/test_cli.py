@@ -157,6 +157,12 @@ def test_count_sequences_exact_and_expected(matrix_file, capsys):
     assert float(capsys.readouterr().out) == pytest.approx(0.0768, abs=1e-12)
     assert main(["count-sequences", "--k", "3"]) == 1  # neither --in nor --expect
     capsys.readouterr()
+    # Flags the chosen count would ignore are rejected.
+    assert main(["count-sequences", "--in", str(matrix_file), "--k", "3", "--n", "99"]) == 1
+    assert capsys.readouterr().err.startswith("error: --n, --m and --p go only with --expect")
+    assert main(["count-sequences", "--in", str(matrix_file), "--expect", "--n", "6",
+                 "--m", "4", "--p", "0.5", "--k", "3"]) == 1
+    assert "not allowed with argument" in capsys.readouterr().err
     for p in ("2", "-0.5", "nan"):
         assert main(["count-sequences", "--expect", "--n", "5", "--m", "5",
                      "--p", p, "--k", "3"]) == 1

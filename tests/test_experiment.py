@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -271,6 +273,37 @@ def test_worker_counts_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "workers, trials, started",
+    [(0, 6, 4), (64, 6, 4), (0, 3, 3), (2, 6, 2), (64, 1, None), (1, 6, None)],
+)
+def test_pool_is_bounded_by_cpus_and_trials(monkeypatch, workers, trials, started):
+    # A fork pool starts all max_workers processes at the first submit, so the
+    # count asked for is the count started; this pool maps in-process instead.
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    spec = make_spec(trials=trials, algorithms=["random"])
+    records, _ = run_experiment(spec, workers=workers)
+    assert pools == ([] if started is None else [started])
+    serial, _ = run_experiment(spec, workers=1)
+    assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
+
+
 def test_exact_skipped_above_cap():
     spec = make_spec(n=30, m=5, trials=1, algorithms=["random", "exact", "mindisc"])
     records, stats = run_experiment(spec, workers=1)
@@ -476,3 +509,13 @@ def test_csv_row_formatting():
     assert cols["bipartize_label_disjoint"] == "0"
     assert cols["random_weight"] == ""
     assert cols["bipartize_iterations"] == "0"
+
+
+def test_benchmark_traced_names_exist(monkeypatch):
+    # The benchmark's tracer wraps library functions at their module
+    # attributes; one renamed or deleted fails here, not in every traced run.
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracing", tracing)  # dataclasses look it up
+    spec.loader.exec_module(tracing)
+    assert all(callable(fn) for fn in tracing.originals().values())
