@@ -50,6 +50,10 @@ CSV_SCHEMA_LINE = "# wrig-lab schema 1"
 # serialized coloring as a self-check (every 100th trial).
 AUDIT_EVERY = 100
 
+# (process count, pool) kept across run_experiment calls: starting a pool
+# costs about as much as a short pass.  Its workers exit at interpreter exit.
+_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -307,6 +311,25 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
     )
 
 
+def _worker_pool(count: int) -> ProcessPoolExecutor:
+    """The cached pool of ``count`` processes; one of another size is shut down."""
+    global _pool
+    if _pool is not None and _pool[0] != count:
+        _pool[1].shutdown()
+        _pool = None
+    if _pool is None:
+        _pool = (count, ProcessPoolExecutor(max_workers=count))
+    return _pool[1]
+
+
+def _drop_pool_on_error(exc_type, exc, tb) -> None:
+    """Exit callback: a pass that raised may leave the pool broken or busy."""
+    global _pool
+    if exc_type is not None and _pool is not None:
+        _pool[1].shutdown(wait=False, cancel_futures=True)
+        _pool = None
+
+
 def run_experiment(
     spec: ExperimentSpec, *, workers: Optional[int] = None
 ) -> tuple[list[TrialRecord], "SummaryStats"]:
@@ -318,6 +341,12 @@ def run_experiment(
     (JSON).  Output bytes are invariant to the worker count.  ``workers``
     overrides ``spec.workers`` under the same rule.  At most one process per
     CPU and per trial is started.
+
+    The worker pool is started once and kept for later calls with the same
+    process count; a serial call leaves it alone, and a pool call that
+    raises shuts it down.  Workers keep the modules as they were when the
+    pool started: code that patches module attributes must do so before
+    the first pool call, or run with ``workers=1``.
     """
     for point in spec.grid:
         message = point.regime_warning()
@@ -347,7 +376,8 @@ def run_experiment(
         if count <= 1:
             produced: Iterable[TrialRecord] = map(run, tasks)
         else:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=count))
+            stack.push(_drop_pool_on_error)
+            pool = _worker_pool(count)
             produced = pool.map(run, tasks, chunksize=max(1, len(tasks) // (count * 8)))
         for record in produced:
             records.append(record)

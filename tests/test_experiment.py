@@ -1,9 +1,16 @@
+import contextlib
 import hashlib
 import importlib.util
 import json
 import math
+import multiprocessing
+import os
 import re
+import signal
+import subprocess
 import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -273,35 +280,123 @@ def test_worker_counts_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "workers, trials, started",
-    [(0, 6, 4), (64, 6, 4), (0, 3, 3), (2, 6, 2), (64, 1, None), (1, 6, None)],
-)
-def test_pool_is_bounded_by_cpus_and_trials(monkeypatch, workers, trials, started):
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """Pools built on 4 CPUs, which map in-process, with no pool cached."""
     # A fork pool starts all max_workers processes at the first submit, so the
-    # count asked for is the count started; this pool maps in-process instead.
+    # count asked for is the count started.
     pools = []
 
     class InProcessPool:
         def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+            self.max_workers = max_workers
+            self.shut = False
+            pools.append(self)
 
         def map(self, fn, tasks, chunksize=1):
             return map(fn, tasks)
 
+        def shutdown(self, wait=True, cancel_futures=False):
+            self.shut = True
+
+    monkeypatch.setattr(experiment, "_pool", None)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    return pools
+
+
+@pytest.mark.parametrize(
+    "workers, trials, started",
+    [(0, 6, 4), (64, 6, 4), (0, 3, 3), (2, 6, 2), (64, 1, None), (1, 6, None)],
+)
+def test_pool_is_bounded_by_cpus_and_trials(fake_pools, workers, trials, started):
     spec = make_spec(trials=trials, algorithms=["random"])
     records, _ = run_experiment(spec, workers=workers)
-    assert pools == ([] if started is None else [started])
+    assert [pool.max_workers for pool in fake_pools] == ([] if started is None else [started])
     serial, _ = run_experiment(spec, workers=1)
     assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
+
+
+def test_a_pool_of_another_size_replaces_the_cached_one(fake_pools):
+    spec = make_spec(trials=6, algorithms=["random"])
+    for workers in (2, 2, 3):
+        run_experiment(spec, workers=workers)
+    assert [(pool.max_workers, pool.shut) for pool in fake_pools] == [(2, True), (3, False)]
+
+
+def worker_pids() -> set[int]:
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+def wait_until_gone(pids: set[int]) -> None:
+    deadline = time.monotonic() + 30
+    while worker_pids() & pids:
+        assert time.monotonic() < deadline, f"workers {worker_pids() & pids} still running"
+        time.sleep(0.01)
+
+
+def test_pool_is_kept_across_calls(monkeypatch):
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    spec = make_spec(trials=4, algorithms=["random"])
+    run_experiment(spec, workers=2)
+    started = worker_pids()
+    assert len(started) == 2
+    run_experiment(spec, workers=1)
+    assert worker_pids() == started
+    run_experiment(spec, workers=2)
+    assert worker_pids() == started
+
+
+def test_a_killed_worker_fails_at_most_the_next_call(monkeypatch):
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    spec = make_spec(trials=4, algorithms=["random", "majority"])
+    serial = list(map(record_to_csv_row, run_experiment(spec, workers=1)[0]))
+    run_experiment(spec, workers=2)
+    started = worker_pids()
+    os.kill(min(started), signal.SIGKILL)
+    # The pool ends its other workers once it sees one die; waiting for that
+    # keeps the next call from racing it.
+    wait_until_gone(started)
+    with contextlib.suppress(BrokenProcessPool):
+        run_experiment(spec, workers=2)
+    records, _ = run_experiment(spec, workers=2)
+    assert list(map(record_to_csv_row, records)) == serial
+
+
+def test_a_trial_that_raises_in_a_worker_shuts_the_pool_down(monkeypatch):
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    spec = make_spec(trials=4, algorithms=["random"])
+    run_experiment(spec, workers=2)
+    started = worker_pids()
+    too_many_ones = make_spec(trials=4, m=1 << 23, p=0.5, algorithms=["random"])
+    with pytest.raises(InputError, match="exceeds the sampler's bound"):
+        run_experiment(too_many_ones, workers=2)
+    wait_until_gone(started)
+    records, _ = run_experiment(spec, workers=2)
+    assert worker_pids().isdisjoint(started) and len(worker_pids()) == 2
+    serial, _ = run_experiment(spec, workers=1)
+    assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
+
+
+def test_workers_exit_with_the_interpreter():
+    script = (
+        "import multiprocessing, os\n"
+        "from wrig_lab import experiment\n"
+        "os.cpu_count = lambda: 2\n"
+        "spec = experiment.ExperimentSpec.from_dict({'n': 10, 'm': 10, 'p': 0.2, 'trials': 4})\n"
+        "experiment.run_experiment(spec, workers=2)\n"
+        "print(*(child.pid for child in multiprocessing.active_children()))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(experiment.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 0, done.stderr
+    pids = [int(pid) for pid in done.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_exact_skipped_above_cap():
