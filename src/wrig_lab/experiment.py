@@ -18,6 +18,7 @@ import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
@@ -322,12 +323,18 @@ def _worker_pool(count: int) -> ProcessPoolExecutor:
     return _pool[1]
 
 
-def _drop_pool_on_error(exc_type, exc, tb) -> None:
-    """Exit callback: a pass that raised may leave the pool broken or busy."""
+def _drop_pool() -> None:
+    """Shut the cached pool down without waiting: it may be broken or busy."""
     global _pool
-    if exc_type is not None and _pool is not None:
+    if _pool is not None:
         _pool[1].shutdown(wait=False, cancel_futures=True)
         _pool = None
+
+
+def _drop_pool_on_error(exc_type, exc, tb) -> None:
+    """Exit callback: a pass that raised may leave the pool broken or busy."""
+    if exc_type is not None:
+        _drop_pool()
 
 
 def run_experiment(
@@ -343,10 +350,12 @@ def run_experiment(
     CPU and per trial is started.
 
     The worker pool is started once and kept for later calls with the same
-    process count; a serial call leaves it alone, and a pool call that
-    raises shuts it down.  Workers keep the modules as they were when the
-    pool started: code that patches module attributes must do so before
-    the first pool call, or run with ``workers=1``.
+    process count, which pays only where a process calls this more than
+    once; a serial call leaves it alone, a pool call that raises shuts it
+    down, and a pool found broken (a worker died while it sat idle) is
+    replaced before the pass starts.  Workers keep the modules as they were
+    when the pool started: code that patches module attributes must do so
+    before the first pool call, or run with ``workers=1``.
     """
     for point in spec.grid:
         message = point.regime_warning()
@@ -377,8 +386,12 @@ def run_experiment(
             produced: Iterable[TrialRecord] = map(run, tasks)
         else:
             stack.push(_drop_pool_on_error)
-            pool = _worker_pool(count)
-            produced = pool.map(run, tasks, chunksize=max(1, len(tasks) // (count * 8)))
+            chunksize = max(1, len(tasks) // (count * 8))
+            try:
+                produced = _worker_pool(count).map(run, tasks, chunksize=chunksize)
+            except BrokenProcessPool:  # a worker died while the pool sat idle
+                _drop_pool()
+                produced = _worker_pool(count).map(run, tasks, chunksize=chunksize)
         for record in produced:
             records.append(record)
             if out is not None:

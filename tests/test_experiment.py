@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import importlib.util
 import json
@@ -10,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -347,20 +345,19 @@ def test_pool_is_kept_across_calls(monkeypatch):
     assert worker_pids() == started
 
 
-def test_a_killed_worker_fails_at_most_the_next_call(monkeypatch):
+def test_a_worker_killed_between_calls_costs_no_call(monkeypatch):
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
     spec = make_spec(trials=4, algorithms=["random", "majority"])
     serial = list(map(record_to_csv_row, run_experiment(spec, workers=1)[0]))
     run_experiment(spec, workers=2)
     started = worker_pids()
     os.kill(min(started), signal.SIGKILL)
-    # The pool ends its other workers once it sees one die; waiting for that
-    # keeps the next call from racing it.
+    # The pool marks itself broken, then ends its other workers, once it sees
+    # one die; waiting for that keeps the next call from racing it.
     wait_until_gone(started)
-    with contextlib.suppress(BrokenProcessPool):
-        run_experiment(spec, workers=2)
     records, _ = run_experiment(spec, workers=2)
     assert list(map(record_to_csv_row, records)) == serial
+    assert worker_pids().isdisjoint(started) and len(worker_pids()) == 2
 
 
 def test_a_trial_that_raises_in_a_worker_shuts_the_pool_down(monkeypatch):
