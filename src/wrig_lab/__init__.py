@@ -39,7 +39,6 @@ from .sampling import (
     ModelParams,
     Seed,
     derive_rng,
-    derive_seed,
     sample_matrix,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "count_sequences_exact",
     "cut_weight",
     "derive_rng",
-    "derive_seed",
     "discrepancy",
     "expected_sequence_count",
     "extract_coloring",

@@ -147,30 +147,28 @@ def _skeleton(
     return pairs, adj
 
 
-def _shortest_odd_cycle(adj: list[list[int]]) -> Optional[list[int]]:
-    """Vertices of a minimum-length odd cycle, or None if the graph is bipartite.
+def _shortest_odd_cycle(adj: list[list[int]], odd: Sequence[int]) -> Optional[list[int]]:
+    """Vertices of a minimum-length odd cycle, or None if ``odd`` is empty.
 
-    The shortest odd closed walk through each start vertex comes from a BFS
-    on the bipartite double cover; at the global minimum that walk is a
-    simple cycle.  Ties go to the smallest start vertex.
+    ``odd`` lists the vertices of the non-bipartite components, as
+    ``_two_color(adj)`` gives them.  The shortest odd closed walk through
+    each start vertex comes from a BFS on the bipartite double cover; at
+    the global minimum that walk is a simple cycle.  Ties go to the
+    smallest start vertex.
 
-    The search runs on the 2-core, from the vertices of its non-bipartite
-    components only; the cycle is the one a search from every vertex on the
-    whole graph returns.  A vertex of a bipartite component has no odd
-    closed walk, and a BFS never leaves its start's component, so on the
-    2-core it sees exactly that component.  A vertex peeled off the 2-core
-    sits on a tree hanging off the core (or on a tree component), so its
-    shortest odd closed walk is at least g + 2 long, g the global minimum:
-    it is never the first start vertex to reach g, and the cutoff it would
-    have set, at least g + 2, prunes no walk of length g.  A tree hanging
-    off core vertex a leads back only to a, with the parity a already has,
-    so it never sets a core node's BFS parent, and dropping its nodes does
-    not reorder the core nodes of any BFS level.
+    The search runs on the 2-core from the core vertices in ``odd``, and
+    returns the cycle a search from every vertex returns.  A component's
+    core is connected, and bipartite exactly when the component is.  A
+    vertex peeled off the core sits on a tree hanging off it (or on a tree
+    component), so its shortest odd closed walk is at least g + 2 long, g
+    the global minimum: it never reaches g first, and its cutoff prunes no
+    walk of length g.  A hanging tree leads back only to its core vertex,
+    with that vertex's parity, so it never sets a core node's BFS parent
+    nor reorders the core nodes of a BFS level.
     """
     core = _two_core(adj)
-    _, odd = _two_color(core)
     best: Optional[list[int]] = None
-    for s in sorted(odd):
+    for s in sorted(v for v in odd if core[v]):
         cycle = _odd_cycle_through(core, s, None if best is None else len(best))
         if cycle is not None:
             best = cycle
@@ -277,13 +275,13 @@ def find_codd_member(
 ]:
     """Search the skeleton of ``matchings`` for a repairable odd cycle.
 
-    Returns ``(member, zero_strong, excluded, coloring)``.
-    ``member`` is a shortest odd cycle that carries at least one strong
-    label, or None once the skeleton minus ``excluded`` is bipartite, and
-    only then is ``coloring`` not None: that graph's BFS-parity 2-coloring.
-    Odd cycles made purely of weak labels are recorded in ``zero_strong``
-    instead: one edge of each (the one with the smallest label) moves to
-    ``excluded`` and the search continues.
+    Returns ``(member, zero_strong, excluded, coloring)``.  Each search
+    step 2-colours the skeleton minus ``excluded``; once that graph is
+    bipartite, ``member`` is None and ``coloring`` is that 2-coloring.
+    Until then ``member`` is a shortest odd cycle with a strong label, and
+    ``coloring`` is None.  Odd cycles made purely of weak labels go to
+    ``zero_strong`` instead: one edge of each (the one with the smallest
+    label) moves to ``excluded`` and the search continues.
 
     Minimality makes the returned cycle simple in its vertices, and a weak
     label can never repeat along it (each contributes a single edge).  A
@@ -296,12 +294,10 @@ def find_codd_member(
     zero_strong: list[VertexLabelSequence] = []
     excluded: set[ExcludedEdge] = set()
     while True:
-        cycle = _shortest_odd_cycle(adj)
-        if cycle is None:
-            # adj is now the sorted simple graph of the skeleton minus excluded.
-            signs, odd = _two_color(adj)
-            assert not odd, "skeleton minus excluded is not bipartite"
+        signs, odd = _two_color(adj)
+        if not odd:
             return None, zero_strong, excluded, Coloring(tuple(signs))
+        cycle = _shortest_odd_cycle(adj, odd)
         labels = _cycle_labels(pairs, strong, cycle)
         assert len(set(cycle)) == len(cycle), "detector returned repeated vertices"
         seq = VertexLabelSequence.from_cycle(R, cycle, labels)

@@ -31,6 +31,12 @@ def offsets(counts: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_grid_size(n: int, m: int) -> None:
+    """Reject n*m >= 2^63: cells are addressed by the int64 grid position l*n + v."""
+    if int(n) * int(m) >= 1 << 63:
+        raise InputError(f"need n*m < 2^63, got n={n}, m={m}")
+
+
 def _raise_first_fault(n: int, labels: np.ndarray, indices: np.ndarray) -> None:
     """Name the first label whose vertices repeat, fall out of order or
     leave [0, n); within one label a repeat is reported first."""
@@ -85,6 +91,7 @@ class RepresentationMatrix:
         if indptr[0] != 0 or indptr[-1] != len(indices) or sizes.min(initial=0) < 0:
             raise InputError("indptr must rise from 0 to len(indices)")
         m = len(sizes)
+        check_grid_size(n, m)
         if len(indices):
             labels = np.repeat(np.arange(m), sizes)
             # With every vertex in [0, n), the grid position l*n + v rises

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bipartization, cuts, textio
 from .core import Coloring, InputError, RepresentationMatrix, cut_weight, discrepancy
-from .sampling import ModelParams, label_count_for_alpha, sample_matrix
+from .sampling import ModelParams, _seed_sequence, label_count_for_alpha, sample_matrix
 
 ALGORITHMS = cuts.CUT_ALGORITHMS + ("bipartize",)
 P_RULES = ("inv_sqrt_nm",)
@@ -100,6 +100,8 @@ class ExperimentSpec:
                 raise InputError(f"unknown algorithm {algo!r}, expected one of {ALGORITHMS}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise InputError(f"epsilon must lie in [0, 1], got {self.epsilon}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.workers < 0:
             raise InputError(f"workers must be >= 0, got {self.workers}")
         if self.max_rematch is not None and self.max_rematch < 0:
@@ -242,8 +244,7 @@ def record_to_csv_row(record: TrialRecord) -> str:
 
 
 def _trial_streams(seed: int, grid_id: int, trial: int) -> tuple[int, int, int, int]:
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(grid_id), int(trial)))
-    words = ss.generate_state(4, np.uint64)
+    words = _seed_sequence(seed, grid_id, trial).generate_state(4, np.uint64)
     return tuple(int(w) for w in words)
 
 

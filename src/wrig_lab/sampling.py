@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InputError, RepresentationMatrix, offsets
+from .core import InputError, RepresentationMatrix, check_grid_size, offsets
 
 # Seeds are 64-bit unsigned values; derived streams are addressed by
 # (seed, *stream) tuples.
@@ -37,25 +37,21 @@ _DENSE_CHUNK_CELLS = 1 << 16
 _MAX_EXPECTED_ONES = 1 << 25
 
 
+def _seed_sequence(seed: Seed, *stream: int) -> np.random.SeedSequence:
+    """The SeedSequence of a (seed, *stream) address; a negative seed is an InputError."""
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+
+
 def derive_rng(seed: Seed, *stream: int) -> np.random.Generator:
     """Independent Philox generator for the given seed and stream address."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
-    return np.random.Generator(np.random.Philox(ss))
-
-
-def derive_seed(seed: Seed, *stream: int) -> int:
-    """Collapse a (seed, stream) address into a fresh 64-bit seed."""
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, *stream)))
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Parameters (n, m, p) of the random model.
-
-    n*m stays below 2^63: the samplers address cells by their int64 grid
-    position l*n + v.
-    """
+    """Parameters (n, m, p) of the random model; ``check_grid_size`` bounds n*m."""
 
     n: int
     m: int
@@ -64,8 +60,7 @@ class ModelParams:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise InputError(f"need n, m >= 1, got n={self.n}, m={self.m}")
-        if int(self.n) * int(self.m) >= 1 << 63:
-            raise InputError(f"need n*m < 2^63, got n={self.n}, m={self.m}")
+        check_grid_size(self.n, self.m)
         if not 0.0 <= self.p <= 1.0:
             raise InputError(f"need 0 <= p <= 1, got p={self.p}")
 

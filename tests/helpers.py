@@ -74,6 +74,12 @@ def vertex_label_sets(R: RepresentationMatrix) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, vertex_sets))
 
 
+def derive_seed(seed: Seed, *stream: int) -> int:
+    """Collapse a (seed, stream) address into a fresh 64-bit seed for a test draw."""
+    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(s) for s in stream))
+    return int(ss.generate_state(1, np.uint64)[0])
+
+
 def majority_reference(R: RepresentationMatrix, epsilon: float, seed: Seed) -> tuple[int, ...]:
     """Majority coloring by a plain loop over every vertex, labelled or not.
 

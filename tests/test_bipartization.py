@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     count_sequences_reference,
+    derive_seed,
     matrices,
     oracle_max_cut_weight,
     oracle_min_discrepancy,
@@ -18,6 +19,8 @@ from wrig_lab.bipartization import (
     EXPECTED_MAX_K,
     VertexLabelSequence,
     _shortest_odd_cycle,
+    _two_color,
+    _two_core,
     count_sequences_exact,
     default_max_rematch,
     expected_sequence_count,
@@ -35,7 +38,7 @@ from wrig_lab.core import (
     row_sums,
 )
 from wrig_lab.experiment import ExperimentSpec, _trial_streams
-from wrig_lab.sampling import ModelParams, derive_rng, derive_seed, sample_matrix
+from wrig_lab.sampling import ModelParams, derive_rng, sample_matrix
 
 WEAK_TRIANGLE = RepresentationMatrix.from_label_sets(3, [[0, 1], [1, 2], [0, 2]])
 # One strong label over {0, 1, 3} plus two weak ones closing a triangle.
@@ -109,7 +112,16 @@ def _path(*vs):
 @settings(deadline=None, max_examples=300)
 @given(simple_graphs())
 def test_pruned_search_matches_search_from_every_vertex(adj):
-    assert _shortest_odd_cycle(adj) == shortest_odd_cycle_reference(adj)
+    assert _shortest_odd_cycle(adj, _two_color(adj)[1]) == shortest_odd_cycle_reference(adj)
+
+
+@settings(deadline=None, max_examples=300)
+@given(simple_graphs())
+def test_odd_core_vertices_are_the_odd_vertices_of_the_core(adj):
+    # The 2-core of a component is connected, and bipartite exactly when the
+    # component is: the odd start set can be read off the whole graph's colouring.
+    core = _two_core(adj)
+    assert sorted(v for v in _two_color(adj)[1] if core[v]) == sorted(_two_color(core)[1])
 
 
 ODD_CYCLE_CASES = {
@@ -148,7 +160,7 @@ ODD_CYCLE_CASES = {
 @pytest.mark.parametrize("case", sorted(ODD_CYCLE_CASES))
 def test_shortest_odd_cycle_cases(case):
     adj, expected = ODD_CYCLE_CASES[case]
-    assert _shortest_odd_cycle(adj) == expected
+    assert _shortest_odd_cycle(adj, _two_color(adj)[1]) == expected
     assert shortest_odd_cycle_reference(adj) == expected
 
 

@@ -227,3 +227,18 @@ def test_invalid_inputs_exit_one(matrix_file, tmp_path, capsys):
     assert main(["experiment", "--spec", str(spec)]) == 1
     assert main(["bipartize", "--in", str(matrix_file), "--max-rematch", "-7"]) == 1
     capsys.readouterr()
+    # n*m >= 2^63 is bad input, named as such, not an int64 wrap-around
+    bad.write_text("WRIG 1 12 1000000000000000000\n" + "".join(f"{l} 1 1\n" for l in range(1, 13)))
+    assert main(["solve", "--algo", "random", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err == f"error: need n*m < 2^63, got n={10**18}, m=12\n"
+
+
+@pytest.mark.parametrize("command", ["sample", "solve", "bipartize"])
+def test_negative_seed_exits_one_and_names_it(command, matrix_file, capsys):
+    given = {
+        "sample": ["--n", "5", "--m", "5", "--p", "0.3"],
+        "solve": ["--algo", "random", "--in", str(matrix_file)],
+        "bipartize": ["--in", str(matrix_file)],
+    }[command]
+    assert main([command, *given, "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"

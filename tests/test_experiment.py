@@ -158,6 +158,8 @@ INVALID_SPECS = [
     ({"name": None}, "name must be a string, got None"),
     # m = floor(n**alpha) must be a finite count.
     ({"regime": "alpha-sweep", "alpha": 1000, "p": 0.1}, "no finite label count"),
+    # Seeds address SeedSequence entropy, which is non-negative.
+    ({"seed": -1}, "seed must be >= 0, got -1"),
 ]
 
 
@@ -263,7 +265,10 @@ def test_failed_audit_names_the_trial(tmp_path, monkeypatch):
         "audit failed: recorded weights disagree with the coloring of "
         f"random at grid_id=0, trial=0, seed={seed}"
     )
-    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+    with (
+        pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"),
+        pytest.warns(UserWarning, match="outside the studied window"),
+    ):
         run_experiment(spec, workers=1)
     assert out.read_text() == "an earlier run\n"
     assert list(tmp_path.iterdir()) == [out]
@@ -366,7 +371,10 @@ def test_a_trial_that_raises_in_a_worker_shuts_the_pool_down(monkeypatch):
     run_experiment(spec, workers=2)
     started = worker_pids()
     too_many_ones = make_spec(trials=4, m=1 << 23, p=0.5, algorithms=["random"])
-    with pytest.raises(InputError, match="exceeds the sampler's bound"):
+    with (
+        pytest.raises(InputError, match="exceeds the sampler's bound"),
+        pytest.warns(UserWarning, match="outside the studied window"),
+    ):
         run_experiment(too_many_ones, workers=2)
     wait_until_gone(started)
     records, _ = run_experiment(spec, workers=2)
@@ -524,7 +532,8 @@ def test_all_algorithms_csv_is_pinned(tmp_path):
             "output": str(out),
         }
     )
-    records, _ = run_experiment(spec, workers=1)
+    with pytest.warns(UserWarning, match="outside the studied window"):
+        records, _ = run_experiment(spec, workers=1)
     assert sum(r.bipartize_terminated is False for r in records) == 18
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()

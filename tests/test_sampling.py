@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import derive_seed
 from wrig_lab import sampling
 from wrig_lab.core import InputError
 from wrig_lab.sampling import (
@@ -11,7 +12,6 @@ from wrig_lab.sampling import (
     _sample_dense,
     _sample_sparse,
     derive_rng,
-    derive_seed,
     label_count_for_alpha,
     sample_matrix,
 )

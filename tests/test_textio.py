@@ -57,6 +57,15 @@ def test_parse_matrix_rejects(text):
         parse_matrix(text)
 
 
+# 12 one-vertex labels over 10^18 vertices: 1.2e19 cells, past the int64 grid.
+HUGE_GRID = "WRIG 1 12 1000000000000000000\n" + "".join(f"{l} 1 1\n" for l in range(1, 13))
+
+
+def test_parse_matrix_rejects_a_grid_past_int64():
+    with pytest.raises(InputError, match=rf"^need n\*m < 2\^63, got n={10**18}, m=12$"):
+        parse_matrix(HUGE_GRID)
+
+
 def test_matrix_file_io(tmp_path):
     path = tmp_path / "m.wrig"
     write_matrix(SAMPLE, path)
