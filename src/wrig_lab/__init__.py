@@ -8,7 +8,6 @@ from .bipartization import (
     VertexLabelSequence,
     count_sequences_exact,
     expected_sequence_count,
-    extract_coloring,
     weak_bipartization,
 )
 from .core import (
@@ -64,7 +63,6 @@ __all__ = [
     "derive_rng",
     "discrepancy",
     "expected_sequence_count",
-    "extract_coloring",
     "majority_cut",
     "norm_sq",
     "random_cut",

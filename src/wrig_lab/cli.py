@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from . import bipartization, cuts, experiment, textio
@@ -185,7 +186,10 @@ def cmd_experiment(args) -> int:
         overrides["summary"] = args.summary
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
-    records, stats = experiment.run_experiment(spec, workers=args.workers)
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")
+        warnings.showwarning = _print_warning
+        records, stats = experiment.run_experiment(spec, workers=args.workers)
     for grid in stats.grid:
         fraction = grid.termination_fraction
         print(
@@ -196,6 +200,11 @@ def cmd_experiment(args) -> int:
     if args.strict and any(r.bipartize_terminated is False for r in records):
         return EXIT_NONTERMINATION
     return EXIT_OK
+
+
+def _print_warning(message, *_) -> None:
+    """A ``warnings.showwarning`` that prints the message as ``sample`` does."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 _COMMANDS = {

@@ -83,6 +83,11 @@ class ExperimentSpec:
         for key in ("output", "summary"):
             if getattr(self, key) is not None:
                 _check_text(key, getattr(self, key))
+        if self.output is not None and self.summary is not None:
+            if os.path.abspath(self.output) == os.path.abspath(self.summary):
+                raise InputError(
+                    f"output {self.output!r} and summary {self.summary!r} name the same file"
+                )
         for key in ("trials", "seed", "workers", "exact_cap"):
             _check_number(key, getattr(self, key), numbers.Integral)
         if self.max_rematch is not None:

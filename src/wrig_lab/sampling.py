@@ -150,23 +150,27 @@ def _sample_dense(params: ModelParams, rng: np.random.Generator) -> Representati
 
 def _sample_sparse(params: ModelParams, rng: np.random.Generator) -> RepresentationMatrix:
     m, n, p = params.m, params.n, params.p
-    chunks = [np.zeros(0, dtype=np.int64)]
+    chunks = [np.zeros(0, dtype=np.uint64)]
     if p > 0.0:
         total = m * n
         expected = total * p
         batch = max(256, int(expected + 10.0 * math.sqrt(expected) + 16.0))
-        pos = -1
+        # ends are the running gap sums, one past each drawn cell.  They are
+        # summed in uint64: every end before the first one past the grid is
+        # at most total and each gap is a positive int64, so no end up to
+        # that one wraps.
+        end = 0
         while True:
-            gaps = rng.geometric(p, size=batch)
-            positions = pos + np.cumsum(gaps)
-            inside = positions[positions < total]
-            chunks.append(inside)
-            if len(inside) < len(positions):
+            ends = end + np.cumsum(rng.geometric(p, size=batch).view(np.uint64))
+            past = np.flatnonzero(ends > total)
+            if len(past):
+                chunks.append(ends[: past[0]])
                 break
-            pos = int(positions[-1])
+            chunks.append(ends)
+            end = int(ends[-1])
             batch = 256
-    # Positions rise strictly, so each label's vertices come out sorted.
-    q = np.concatenate(chunks)
+    # Cells rise strictly, so each label's vertices come out sorted.
+    q = np.concatenate(chunks).astype(np.int64) - 1
     return RepresentationMatrix(
         m=m, n=n, indptr=offsets(np.bincount(q // n, minlength=m)), indices=q % n
     )

@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import Coloring, InputError, RepresentationMatrix
+from .core import Coloring, InputError, RepresentationMatrix, check_grid_size
 
 MAGIC = "WRIG"
 FORMAT_VERSION = 1
@@ -28,11 +28,11 @@ PathLike = Union[str, Path]
 
 
 def format_matrix(R: RepresentationMatrix) -> str:
+    flat = R.indices.tolist()
+    bounds = R.indptr.tolist()
     lines = [f"{MAGIC} {FORMAT_VERSION} {R.m} {R.n}"]
-    for l, L in enumerate(R.label_sets):
-        parts = [str(l + 1), str(len(L))]
-        parts.extend(str(v + 1) for v in L)
-        lines.append(" ".join(parts))
+    for l, (a, b) in enumerate(zip(bounds, bounds[1:]), 1):
+        lines.append(" ".join([str(l), str(b - a), *[str(v + 1) for v in flat[a:b]]]))
     return "\n".join(lines) + "\n"
 
 
@@ -50,7 +50,7 @@ def parse_matrix(text: str) -> RepresentationMatrix:
     if m < 0 or n < 1:
         raise InputError(f"bad dimensions m={m}, n={n}")
 
-    label_sets: list[tuple[int, ...]] = []
+    indptr, indices = [0], []
     for expected in range(1, m + 1):
         line = stream.readline()
         if not line:
@@ -66,16 +66,17 @@ def parse_matrix(text: str) -> RepresentationMatrix:
             raise InputError(f"label line {expected} carries index {idx}")
         if len(listed) != size:
             raise InputError(f"label {idx} declares {size} vertices but lists {len(listed)}")
-        vertices = tuple(v - 1 for v in listed)
-        if any(v < 0 or v >= n for v in vertices):
+        if any(v < 1 or v > n for v in listed):
             raise InputError(f"label {idx} has a vertex outside [1, {n}]")
-        if any(a >= b for a, b in zip(vertices, vertices[1:])):
+        if any(a >= b for a, b in zip(listed, listed[1:])):
             raise InputError(f"label {idx} vertices are not sorted ascending")
-        label_sets.append(vertices)
+        indices.extend(listed)
+        indptr.append(len(indices))
     for line in stream:
         if line.strip():
             raise InputError("trailing content after the last label line")
-    return RepresentationMatrix.from_label_sets(n, label_sets)
+    check_grid_size(n, m)  # so every vertex, at most n, fits int64
+    return RepresentationMatrix.from_csr(n, indptr, np.array(indices, dtype=np.int64) - 1)
 
 
 def write_matrix(R: RepresentationMatrix, path: PathLike) -> None:

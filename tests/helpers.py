@@ -7,8 +7,9 @@ cannot hide behind themselves.  Likewise the weighted intersection graph
 scores a cut by summing crossing edges instead of the norm identity, and
 the majority reference visits every vertex in plain Python, the odd-cycle
 reference searches from every vertex of the whole graph, and the sequence
-count enumerates every vertex tuple and every label tuple, and the coloring
-parser reads every text token by token.
+count enumerates every vertex tuple and every label tuple, the coloring
+parser reads every text token by token, and the matrix formatter writes one
+label tuple at a time.
 """
 
 from __future__ import annotations
@@ -188,6 +189,14 @@ def oracle_max_cut_weight(R: RepresentationMatrix) -> int:
 def oracle_min_discrepancy(R: RepresentationMatrix) -> int:
     _, _, disc = enumeration_oracle(R)
     return int(disc.min())
+
+
+def format_matrix_reference(R: RepresentationMatrix) -> str:
+    """The WRIG text of ``R``, written one label tuple at a time."""
+    lines = [f"WRIG 1 {R.m} {R.n}"]
+    for l, L in enumerate(R.label_sets):
+        lines.append(" ".join(str(field) for field in (l + 1, len(L), *(v + 1 for v in L))))
+    return "".join(line + "\n" for line in lines)
 
 
 @st.composite

@@ -15,7 +15,6 @@ from helpers import build_graph, cut_weight_direct, derive_seed, enumeration_ora
 from wrig_lab.bipartization import (
     count_sequences_exact,
     expected_sequence_count,
-    extract_coloring,
     weak_bipartization,
 )
 from wrig_lab.core import Coloring, cut_weight, discrepancy, norm_sq
@@ -176,7 +175,7 @@ def test_criterion_06_bipartization_optimality():
         if not outcome.label_disjoint:
             continue
         conditioned += 1
-        x = extract_coloring(outcome)
+        x = outcome.coloring
         cut_hits += cut_weight(R, x) == brute_force_max_cut(R).weight
         disc_hits += discrepancy(R, x) == brute_force_min_discrepancy(R)[1]
     elapsed = time.perf_counter() - start

@@ -290,7 +290,8 @@ def test_budget_exhaustion_is_reported_not_raised():
     assert not out.terminated
     assert out.iterations == 0
     assert out.codd_encounters == 1
-    with pytest.raises(ValueError):
+    assert out.coloring is None
+    with pytest.raises(InputError, match="^cannot extract a coloring from a non-terminated run$"):
         extract_coloring(out)
 
 
@@ -308,7 +309,7 @@ def _run_line(out) -> str:
         " ".join(f"{u}-{v}" for u, v in matching) for matching in out.matchings
     )
     coloring = (
-        "".join("+" if x > 0 else "-" for x in extract_coloring(out).values.tolist())
+        "".join("+" if x > 0 else "-" for x in out.coloring.values.tolist())
         if out.terminated
         else ""
     )
@@ -350,7 +351,7 @@ def test_bipartization_runs_are_pinned(case):
             out = weak_bipartization(R, run_seed, max_rematch=spec.max_rematch)
             lines.append(_run_line(out))
             if out.terminated:
-                _assert_h_bipartite(out, extract_coloring(out))
+                _assert_h_bipartite(out, out.coloring)
             pair_labels = Counter(p for m in out.matchings for p in m)
             seen["terminated"] += out.terminated
             seen["weak_cycles"] += bool(out.zero_strong_cycles)
@@ -369,7 +370,7 @@ def test_bipartization_runs_are_pinned(case):
 
 def test_extracted_coloring_weak_triangle_is_optimal():
     out = weak_bipartization(WEAK_TRIANGLE, seed=5)
-    x = extract_coloring(out)
+    x = out.coloring
     sums = row_sums(WEAK_TRIANGLE, x)
     excluded_labels = {l for _, _, l in out.excluded}
     for l, s in enumerate(sums):
@@ -379,14 +380,14 @@ def test_extracted_coloring_weak_triangle_is_optimal():
 
 def test_extracted_coloring_balances_single_strong_label():
     out = weak_bipartization(K4, seed=3)
-    x = extract_coloring(out)
+    x = out.coloring
     assert discrepancy(K4, x) == 0
     assert cut_weight(K4, x) == 4 == oracle_max_cut_weight(K4)
 
 
 def test_extracted_coloring_edge_free_all_plus():
     out = weak_bipartization(EDGE_FREE, seed=0)
-    x = extract_coloring(out)
+    x = out.coloring
     assert tuple(x.values) == (1, 1, 1, 1)
     _assert_h_bipartite(out, x)
 
@@ -427,7 +428,7 @@ def test_terminated_runs_satisfy_structure_invariants(trial):
         assert len(matching) == len(R.label_sets[l]) // 2
     for _, _, l in out.excluded:
         assert len(R.label_sets[l]) == 2
-    x = extract_coloring(out)
+    x = out.coloring
     _assert_h_bipartite(out, x)
     sums = row_sums(R, x)
     excluded_labels = {l for _, _, l in out.excluded}

@@ -209,6 +209,42 @@ def test_experiment_strict_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_experiment_prints_out_of_window_warnings_as_sample_does(tmp_path, capsys):
+    spec_path = tmp_path / "sweep.json"
+    spec_path.write_text(json.dumps({
+        "regime": "c-sweep", "n": 100, "c": [0.5, 1.0, 0.5], "trials": 1,
+    }))
+    assert main(["experiment", "--spec", str(spec_path), "--workers", "1",
+                 "--out", str(tmp_path / "o.csv")]) == 0
+    warning = "warning: p=0.005 is outside the studied window [0.01, 0.1] for n=100, m=100\n"
+    assert capsys.readouterr().err == 2 * warning
+    assert main(["sample", "--n", "100", "--c", "0.5"]) == 0
+    assert capsys.readouterr().err == warning
+
+
+def test_experiment_refuses_one_file_for_csv_and_summary(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n": 3, "m": 3, "p": 0.5}))
+    out = tmp_path / "out.csv"
+    assert main(["experiment", "--spec", str(spec_path), "--workers", "1",
+                 "--out", str(out), "--summary", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: output {str(out)!r} and summary {str(out)!r} name the same file\n"
+    )
+    spec_path.write_text(json.dumps({"n": 3, "m": 3, "p": 0.5, "output": "x.csv",
+                                     "summary": "x.csv"}))
+    assert main(["experiment", "--spec", str(spec_path), "--workers", "1"]) == 1
+    capsys.readouterr()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_sample_at_p_1e_17_exits_zero(capsys):
+    assert main(["sample", "--n", "10", "--m", "10", "--p", "1e-17"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "WRIG 1 10 10\n" + "".join(f"{l} 0\n" for l in range(1, 11))
+    assert captured.err.startswith("warning: p=1e-17 is outside the studied window")
+
+
 def test_invalid_inputs_exit_one(matrix_file, tmp_path, capsys):
     assert main(["solve", "--algo", "exact", "--in", str(tmp_path / "missing")]) == 1
     bad = tmp_path / "bad.wrig"

@@ -160,6 +160,11 @@ INVALID_SPECS = [
     ({"regime": "alpha-sweep", "alpha": 1000, "p": 0.1}, "no finite label count"),
     # Seeds address SeedSequence entropy, which is non-negative.
     ({"seed": -1}, "seed must be >= 0, got -1"),
+    # The summary would overwrite the CSV.
+    (
+        {"output": "out.csv", "summary": "./out.csv"},
+        "output 'out.csv' and summary './out.csv' name the same file",
+    ),
 ]
 
 

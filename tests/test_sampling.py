@@ -6,7 +6,7 @@ import pytest
 
 from helpers import derive_seed
 from wrig_lab import sampling
-from wrig_lab.core import InputError
+from wrig_lab.core import InputError, RepresentationMatrix
 from wrig_lab.sampling import (
     ModelParams,
     _sample_dense,
@@ -144,6 +144,31 @@ def test_sparse_path_is_used_and_agrees_on_marginal():
     )
     se = math.sqrt(0.05 * 0.95 / trials)
     assert abs(hits / trials - 0.05) <= 4 * se
+
+
+@pytest.mark.parametrize("p", [1e-17, 1e-300, 5e-324])
+def test_sparse_path_draws_at_the_smallest_p(p):
+    # Gaps near 2^63 (numpy's geometric returns 2^63 - 1 at the smallest p)
+    # must leave the grid, not wrap the running cell position.
+    R = sample_matrix(ModelParams.fixed(10, 10, p), seed=0)
+    assert R.diagonal_sum() == 0 and len(R.indptr) == 11
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_path_draws_on_a_grid_near_2_to_the_62(seed):
+    # 2^62 + 2^40 cells at p = 1e-18: about 4.6 expected ones.
+    params = ModelParams.fixed(1 << 40, (1 << 22) + 1, 1e-18)
+    R = sample_matrix(params, seed)
+    assert 1 <= R.diagonal_sum() <= 20
+    assert RepresentationMatrix.from_csr(R.n, R.indptr, R.indices) == R
+
+
+def test_sparse_path_gives_valid_matrices_across_p():
+    for p in np.logspace(-20, math.log10(0.08), 60):
+        for seed in range(5):
+            for n, m in ((10, 10), (300, 70)):
+                R = sample_matrix(ModelParams.fixed(n, m, float(p)), seed)
+                assert RepresentationMatrix.from_csr(n, R.indptr, R.indices) == R
 
 
 def test_model_params_validation():

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import matrices, parse_coloring_reference
+from helpers import format_matrix_reference, matrices, parse_coloring_reference
 from wrig_lab.core import Coloring, InputError, RepresentationMatrix
 from wrig_lab.textio import (
     format_coloring,
@@ -35,25 +37,44 @@ def test_matrix_roundtrip(R):
     assert parse_matrix(format_matrix(R)) == R
 
 
+@settings(deadline=None)
+@given(matrices(max_n=12, max_m=8))
+@example(RepresentationMatrix.from_label_sets(2, [[]]))
+@example(RepresentationMatrix.from_label_sets(5, []))
+@example(RepresentationMatrix.from_label_sets(10**12, [[], [0, 10**12 - 1], []]))
+def test_format_matrix_matches_the_per_label_reference(R):
+    assert format_matrix(R) == format_matrix_reference(R)
+
+
+# Each bad text with the message it raises; a fault in an earlier label wins.
+BAD_MATRIX_TEXTS = [
+    ("", "not a WRIG matrix file (bad header)"),
+    ("WRIG 2 1 3\n1 0\n", "unsupported WRIG format version 2"),
+    ("NOPE 1 1 3\n1 0\n", "not a WRIG matrix file (bad header)"),
+    ("WRIG 1 x 3\n1 0\n", "not a WRIG matrix file (non-numeric header)"),
+    ("WRIG 1 2 3\n1 0\n", "expected 2 label lines, found 1"),
+    ("WRIG 1 1 3\n2 0\n", "label line 1 carries index 2"),
+    ("WRIG 1 1 3\n1 2 1\n", "label 1 declares 2 vertices but lists 1"),
+    ("WRIG 1 1 3\n1 2 2 1\n", "label 1 vertices are not sorted ascending"),
+    ("WRIG 1 1 3\n1 1 4\n", "label 1 has a vertex outside [1, 3]"),
+    ("WRIG 1 1 3\n1 2 1 1\n", "label 1 vertices are not sorted ascending"),  # a repeat
+    ("WRIG 1 1 3\n1 0\ntrailing\n", "trailing content after the last label line"),
+    ("WRIG 1 1 0\n1 0\n", "bad dimensions m=1, n=0"),
+    ("WRIG 1 -1 3\n", "bad dimensions m=-1, n=3"),
+    ("WRIG 1 1 3\n1\n", "label line 1 is too short"),
+    ("WRIG 1 1 3\n1 1 a\n", "label line 1 has a non-integer field"),
+    ("WRIG 1 1 3\n1 1 0\n", "label 1 has a vertex outside [1, 3]"),
+    ("WRIG 1 1 3\n1 2 3 0\n", "label 1 has a vertex outside [1, 3]"),
+    ("WRIG 1 2 3\n1 2 1 3\n2 2 3 2\n", "label 2 vertices are not sorted ascending"),
+    ("WRIG 1 2 3\n1 1 9\n3 0\n", "label 1 has a vertex outside [1, 3]"),
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "WRIG 2 1 3\n1 0\n",
-        "NOPE 1 1 3\n1 0\n",
-        "WRIG 1 x 3\n1 0\n",
-        "WRIG 1 2 3\n1 0\n",  # missing second label line
-        "WRIG 1 1 3\n2 0\n",  # wrong label index
-        "WRIG 1 1 3\n1 2 1\n",  # declared size disagrees
-        "WRIG 1 1 3\n1 2 2 1\n",  # unsorted vertices
-        "WRIG 1 1 3\n1 1 4\n",  # vertex out of range
-        "WRIG 1 1 3\n1 2 1 1\n",  # duplicate vertex
-        "WRIG 1 1 3\n1 0\ntrailing\n",
-        "WRIG 1 1 0\n1 0\n",
-    ],
+    "text, message", BAD_MATRIX_TEXTS, ids=[text for text, _ in BAD_MATRIX_TEXTS]
 )
-def test_parse_matrix_rejects(text):
-    with pytest.raises(ValueError):
+def test_parse_matrix_rejects(text, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         parse_matrix(text)
 
 
@@ -64,6 +85,9 @@ HUGE_GRID = "WRIG 1 12 1000000000000000000\n" + "".join(f"{l} 1 1\n" for l in ra
 def test_parse_matrix_rejects_a_grid_past_int64():
     with pytest.raises(InputError, match=rf"^need n\*m < 2\^63, got n={10**18}, m=12$"):
         parse_matrix(HUGE_GRID)
+    # A vertex of 2^63 is within [1, n] here, but the grid is not.
+    with pytest.raises(InputError, match=rf"^need n\*m < 2\^63, got n={2**63}, m=1$"):
+        parse_matrix(f"WRIG 1 1 {2**63}\n1 1 {2**63}\n")
 
 
 def test_matrix_file_io(tmp_path):
