@@ -19,7 +19,7 @@ import numpy as np
 from .core import Coloring, InputError, RepresentationMatrix, cut_weight, offsets
 from .sampling import Seed, derive_rng
 
-DEFAULT_BRUTE_FORCE_CAP = 24
+BRUTE_FORCE_CAP = 24
 
 # Scores the oracles evaluate per block.  Max-cut's temporaries hold a few
 # int64 per score and min-discrepancy's two buffers one byte each, so a
@@ -220,16 +220,12 @@ def beta_lower_bound(c: float) -> float:
 
     This is the constant by which the majority heuristic beats the expected
     random-cut weight (multiplicatively, minus vanishing terms) at m = n,
-    p = c/n for large c; it decreases in c.
+    p = c/n for large c; it decreases in c.  A c that is not a positive
+    finite number is an InputError.
     """
-    if c <= 0:
-        raise InputError(f"c must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise InputError(f"c must be positive and finite, got {c}")
     return math.sqrt(16.0 / (27.0 * math.pi * c**3))
-
-
-def _check_cap(R: RepresentationMatrix, cap: int) -> None:
-    if R.n > cap:
-        raise InputError(f"n={R.n} exceeds the brute-force cap {cap}")
 
 
 def _coloring_from_mask(mask: int, n: int) -> Coloring:
@@ -248,7 +244,6 @@ def _half_row_sums(D: np.ndarray) -> np.ndarray:
 
 def _argmin_over_colorings(
     R: RepresentationMatrix,
-    cap: int,
     scorer: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
     floor: int,
 ) -> tuple[int, Coloring]:
@@ -268,8 +263,9 @@ def _argmin_over_colorings(
     the best reaches the floor no later block can replace it: the loop
     stops there and returns the same optimum as the full walk.
     """
-    _check_cap(R, cap)
     n = R.n
+    if n > BRUTE_FORCE_CAP:
+        raise InputError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     D = np.zeros((R.m, n), dtype=np.int64)
     D[np.repeat(np.arange(R.m), R.sizes), R.indices] = 1
     h = (n + 1) // 2
@@ -294,9 +290,7 @@ def _odd_labels(R: RepresentationMatrix) -> int:
     return int(np.count_nonzero(R.sizes & 1))
 
 
-def brute_force_max_cut(
-    R: RepresentationMatrix, *, cap: int = DEFAULT_BRUTE_FORCE_CAP
-) -> CutResult:
+def brute_force_max_cut(R: RepresentationMatrix) -> CutResult:
     """Exact maximum cut: the coloring minimising |Rx|^2 = |a|^2 + |b|^2 + 2 a.b.
 
     Among optimal colorings the lexicographically smallest with x_0 = +1 is
@@ -308,15 +302,13 @@ def brute_force_max_cut(
         b_sq = (B * B).sum(axis=1)
         return lambda a: (a * a).sum(axis=1)[:, None] + b_sq + 2 * (a @ B.T)
 
-    best_norm, coloring = _argmin_over_colorings(R, cap, norm_sq, _odd_labels(R))
+    best_norm, coloring = _argmin_over_colorings(R, norm_sq, _odd_labels(R))
     quad = R.entry_sum() - best_norm
     assert quad % 4 == 0
     return CutResult(coloring=coloring, weight=quad // 4)
 
 
-def brute_force_min_discrepancy(
-    R: RepresentationMatrix, *, cap: int = DEFAULT_BRUTE_FORCE_CAP
-) -> tuple[Coloring, int]:
+def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]:
     """Exact minimum discrepancy: the coloring minimising max_l |a_l + b_l|.
 
     Among optimal colorings the lexicographically smallest with x_0 = +1 is
@@ -344,7 +336,7 @@ def brute_force_min_discrepancy(
 
         return score
 
-    best_disc, coloring = _argmin_over_colorings(R, cap, disc, int(_odd_labels(R) > 0))
+    best_disc, coloring = _argmin_over_colorings(R, disc, int(_odd_labels(R) > 0))
     return coloring, best_disc
 
 
@@ -354,21 +346,20 @@ def solve(
     seed: Optional[Seed],
     *,
     epsilon: float = 0.0,
-    cap: int = DEFAULT_BRUTE_FORCE_CAP,
 ) -> CutResult:
     """Run the cut algorithm named ``algo`` (one of ``CUT_ALGORITHMS``).
 
-    ``seed`` and ``epsilon`` reach only the heuristics, ``cap`` only the
-    oracles.  The functions are looked up when called, so wrappers set on
-    this module's attributes see every call.
+    ``seed`` and ``epsilon`` reach only the heuristics.  The functions are
+    looked up when called, so wrappers set on this module's attributes see
+    every call.
     """
     if algo == "random":
         return random_cut(R, seed)
     if algo == "majority":
         return majority_cut(R, epsilon, seed)
     if algo == "exact":
-        return brute_force_max_cut(R, cap=cap)
+        return brute_force_max_cut(R)
     if algo == "mindisc":
-        coloring, _ = brute_force_min_discrepancy(R, cap=cap)
+        coloring, _ = brute_force_min_discrepancy(R)
         return CutResult(coloring=coloring, weight=cut_weight(R, coloring))
     raise InputError(f"unknown cut algorithm {algo!r}, expected one of {CUT_ALGORITHMS}")

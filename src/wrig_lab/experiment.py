@@ -73,7 +73,6 @@ class ExperimentSpec:
     epsilon: float = 0.0
     seed: int = 0
     max_rematch: Optional[int] = None
-    exact_cap: int = cuts.DEFAULT_BRUTE_FORCE_CAP
     output: Optional[str] = None
     summary: Optional[str] = None
     workers: int = 0
@@ -88,7 +87,7 @@ class ExperimentSpec:
                 raise InputError(
                     f"output {self.output!r} and summary {self.summary!r} name the same file"
                 )
-        for key in ("trials", "seed", "workers", "exact_cap"):
+        for key in ("trials", "seed", "workers"):
             _check_number(key, getattr(self, key), numbers.Integral)
         if self.max_rematch is not None:
             _check_number("max_rematch", self.max_rematch, numbers.Integral)
@@ -111,8 +110,6 @@ class ExperimentSpec:
             raise InputError(f"workers must be >= 0, got {self.workers}")
         if self.max_rematch is not None and self.max_rematch < 0:
             raise InputError(f"max_rematch must be >= 0, got {self.max_rematch}")
-        if self.exact_cap < 1:
-            raise InputError(f"exact_cap must be >= 1, got {self.exact_cap}")
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentSpec":
@@ -274,7 +271,7 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
     for algo in ALGORITHMS:
         if algo not in spec.algorithms:
             continue
-        if algo in ("exact", "mindisc") and params.n > spec.exact_cap:
+        if algo in ("exact", "mindisc") and params.n > cuts.BRUTE_FORCE_CAP:
             continue
         start = time.perf_counter()
         if algo == "bipartize":
@@ -291,9 +288,7 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
             coloring = outcome.coloring
             weight = None if coloring is None else cut_weight(R, coloring)
         else:
-            result = cuts.solve(
-                R, algo, seeds.get(algo), epsilon=spec.epsilon, cap=spec.exact_cap
-            )
+            result = cuts.solve(R, algo, seeds.get(algo), epsilon=spec.epsilon)
             coloring, weight = result.coloring, result.weight
         wall[algo] = time.perf_counter() - start
         if coloring is None:

@@ -33,7 +33,9 @@ _DENSE_CHUNK_CELLS = 1 << 16
 # about 42 bytes at the sparse path's peak (gaps, positions and their
 # label/vertex split, all int64) and 24 at the dense path's, against 8 in
 # the finished matrix, so 2^25 ones keep a draw near 1.4 GiB.  The dense
-# path runs only for p >= 0.1, so it visits at most 10 * 2^25 cells.
+# path runs only for p >= 0.1, so it visits at most 10 * 2^25 cells.  The
+# same constant bounds m: each label costs an int64 row pointer, and on the
+# sparse path an int64 count, whatever p is.
 _MAX_EXPECTED_ONES = 1 << 25
 
 
@@ -121,13 +123,19 @@ def sample_matrix(params: ModelParams, seed: Seed) -> RepresentationMatrix:
     through the row-major entry grid with geometric gaps, costing time
     proportional to the number of ones instead of n*m; both code paths
     sample the same distribution.  More than ``_MAX_EXPECTED_ONES`` expected
-    ones is an InputError, raised before anything is drawn.
+    ones, or more labels than that, is an InputError, raised before anything
+    is drawn.
     """
     ones = params.n * params.m * params.p
     if ones > _MAX_EXPECTED_ONES:
         raise InputError(
             f"expected n*m*p = {ones:.4g} ones exceeds the sampler's bound "
             f"{_MAX_EXPECTED_ONES} for n={params.n}, m={params.m}, p={params.p}"
+        )
+    if params.m > _MAX_EXPECTED_ONES:
+        raise InputError(
+            f"m={params.m} exceeds the sampler's label bound {_MAX_EXPECTED_ONES} "
+            f"for n={params.n}, p={params.p}"
         )
     if params.p < _SPARSE_THRESHOLD:
         return _sample_sparse(params, derive_rng(seed))

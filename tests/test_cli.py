@@ -55,6 +55,20 @@ def test_sample_alpha_and_c_modes(tmp_path, capsys):
     assert main(["sample", "--n", "10", "--m", "1000000000000", "--p", "0.1"]) == 1
     err = capsys.readouterr().err
     assert err.splitlines()[-1].startswith("error: expected n*m*p = 1e+12 ones exceeds")
+    # and so do 2^40 labels with no ones expected
+    assert main(["sample", "--n", "1", "--m", str(2**40), "--p", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"error: m={2**40} exceeds the sampler's label bound 33554432 for n=1, p=0.0"
+    )
+
+
+def test_solve_exact_above_the_cap_exits_one(tmp_path, capsys):
+    path = tmp_path / "wide.wrig"
+    write_matrix(RepresentationMatrix.from_label_sets(25, [[0, 1]]), path)
+    for algo in ("exact", "mindisc"):
+        assert main(["solve", "--algo", algo, "--in", str(path)]) == 1
+        assert capsys.readouterr().err == "error: n=25 exceeds the brute-force cap 24\n"
 
 
 def test_solve_json_and_coloring_file(matrix_file, tmp_path, capsys):

@@ -14,7 +14,7 @@ from helpers import (
     oracle_min_discrepancy,
 )
 from wrig_lab import cuts
-from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy
+from wrig_lab.core import InputError, RepresentationMatrix, cut_weight, discrepancy
 from wrig_lab.experiment import ExperimentSpec, run_experiment
 from wrig_lab.sampling import derive_rng
 from wrig_lab.cuts import (
@@ -29,6 +29,7 @@ TWO_PATH = RepresentationMatrix.from_label_sets(3, [[0, 1], [1, 2]])
 WEAK_TRIANGLE = RepresentationMatrix.from_label_sets(3, [[0, 1], [1, 2], [0, 2]])
 TRIANGLE = RepresentationMatrix.from_label_sets(3, [[0, 1, 2]])
 EDGE_FREE = RepresentationMatrix.from_label_sets(4, [[], [0]])
+OVER_CAP = RepresentationMatrix.from_label_sets(25, [[0, 1]])
 
 
 # --- random cut ---
@@ -233,8 +234,9 @@ def test_heuristic_weights_match_their_colorings(R):
 
 
 def test_solve_passes_the_cap_and_rejects_unknown_names():
-    with pytest.raises(ValueError, match="exceeds the brute-force cap 2"):
-        cuts.solve(TRIANGLE, "mindisc", None, cap=2)
+    for algo in ("exact", "mindisc"):
+        with pytest.raises(ValueError, match="^n=25 exceeds the brute-force cap 24$"):
+            cuts.solve(OVER_CAP, algo, None)
     with pytest.raises(ValueError, match="unknown cut algorithm 'bipartize'"):
         cuts.solve(TRIANGLE, "bipartize", 3)
 
@@ -261,6 +263,12 @@ def test_beta_rejects_nonpositive():
         beta_lower_bound(-3.0)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf])
+def test_beta_rejects_a_non_finite_c(c):
+    with pytest.raises(InputError, match=f"^c must be positive and finite, got {c}$"):
+        beta_lower_bound(c)
+
+
 # --- exact oracles ---
 
 
@@ -277,11 +285,9 @@ def test_min_discrepancy_examples():
 
 
 def test_cap_enforced():
-    R = RepresentationMatrix.from_label_sets(6, [[0, 1]])
-    with pytest.raises(ValueError):
-        brute_force_max_cut(R, cap=5)
-    with pytest.raises(ValueError):
-        brute_force_min_discrepancy(R, cap=5)
+    for oracle in (brute_force_max_cut, brute_force_min_discrepancy):
+        with pytest.raises(ValueError, match="^n=25 exceeds the brute-force cap 24$"):
+            oracle(OVER_CAP)
 
 
 @st.composite

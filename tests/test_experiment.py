@@ -130,8 +130,8 @@ INVALID_SPECS = [
     ({"epsilon": 2.0}, r"epsilon must lie in \[0, 1\]"),
     ({"workers": -1}, "workers must be >= 0"),
     ({"max_rematch": -3}, "max_rematch must be >= 0"),
-    ({"exact_cap": 0}, "exact_cap must be >= 1"),
-    ({"exact_cap": -1}, "exact_cap must be >= 1"),
+    # The brute-force cap is fixed in cuts, not a setting.
+    ({"exact_cap": 24}, r"unknown config keys: \['exact_cap'\]"),
     # A grid key that only another regime reads.
     ({"c": 1.0}, r"fixed regime does not read \['c'\]"),
     ({"p_rule": "inv_sqrt_nm"}, r"fixed regime does not read \['p_rule'\]"),

@@ -205,6 +205,13 @@ def test_sampler_bounds_the_expected_ones(monkeypatch):
             sample_matrix(ModelParams.fixed(10, m, p), seed=0)
 
 
+@pytest.mark.parametrize("n, m, p", [(1, 2**40, 0.0), (2**32, 2**31 - 1, 4e-19)])
+def test_sampler_bounds_the_labels(n, m, p):
+    # Few expected ones, but m + 1 row pointers would not fit in memory.
+    with pytest.raises(InputError, match=rf"^m={m} exceeds the sampler's label bound 33554432"):
+        sample_matrix(ModelParams.fixed(n, m, p), seed=0)
+
+
 def test_alpha_floor_uses_exact_powers():
     assert label_count_for_alpha(1024, 0.5) == 32
     assert label_count_for_alpha(4096, 0.5) == 64
