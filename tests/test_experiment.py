@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -543,6 +544,36 @@ def test_all_algorithms_csv_is_pinned(tmp_path):
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
         == "76bf45bbf05cbd4ec6888105c011d9417f7d079fcd24995da1102006e5fe8ef2"
+    )
+
+
+# sha256 of the JSON summary of all five algorithms over four grid points,
+# with fixed wall times put into each record.  Missing cells are pinned too:
+# 12 rows have no off-diagonal pair, and at c = 4 only 2 of 40 bipartize
+# runs terminate within 10 re-matches.
+def test_all_algorithms_summary_is_pinned():
+    spec = ExperimentSpec.from_dict(
+        {
+            "regime": "c-sweep",
+            "n": 16,
+            "c": [0.5, 1.0, 2.0, 4.0],
+            "algorithms": ["random", "majority", "exact", "mindisc", "bipartize"],
+            "epsilon": 0.01,
+            "max_rematch": 10,
+            "trials": 40,
+            "seed": 2009,
+        }
+    )
+    with pytest.warns(UserWarning, match="outside the studied window"):
+        records, _ = run_experiment(spec, workers=1)
+    timed = [
+        replace(r, wall_times={a: (r.grid_id + 1) / 1000 + r.trial / 3e5 for a in r.wall_times})
+        for r in records
+    ]
+    text = json.dumps(asdict(summarize(timed, name="golden")), indent=2, sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "9b1c2e661ad6775ca04e6705f74d68c902165186b2c69eb186559a8c7da0cf6b"
     )
 
 
