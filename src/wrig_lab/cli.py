@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a JSON-configured experiment")
     p_exp.add_argument("--spec", required=True, help="JSON config file")
     p_exp.add_argument("--workers", type=int, default=None, help="override worker count")
-    p_exp.add_argument("--out", default=None, help="override the CSV output path")
+    p_exp.add_argument("--out", dest="output", help="override the CSV output path")
     p_exp.add_argument("--summary", default=None, help="override the JSON summary path")
     p_exp.add_argument(
         "--strict",
@@ -178,18 +178,16 @@ def cmd_count_sequences(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    spec = experiment.ExperimentSpec.from_file(args.spec)
-    overrides = {}
-    if args.out is not None:
-        overrides["output"] = args.out
-    if args.summary is not None:
-        overrides["summary"] = args.summary
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    overrides = {
+        key: getattr(args, key)
+        for key in ("output", "summary", "workers")
+        if getattr(args, key) is not None
+    }
+    spec = dataclasses.replace(experiment.ExperimentSpec.from_file(args.spec), **overrides)
     with warnings.catch_warnings():
         warnings.simplefilter("always")
         warnings.showwarning = _print_warning
-        records, stats = experiment.run_experiment(spec, workers=args.workers)
+        records, stats = experiment.run_experiment(spec)
     for grid in stats.grid:
         fraction = grid.termination_fraction
         print(

@@ -480,6 +480,16 @@ def _cv(stats: ValueStats) -> Optional[float]:
     return math.sqrt(stats.variance) / stats.mean
 
 
+def _present(rows: Sequence[TrialRecord], column: str) -> list[tuple[TrialRecord, object]]:
+    """(row, value) for each row whose ``column`` is not None."""
+    return [(r, value) for r in rows if (value := getattr(r, column)) is not None]
+
+
+def _mean(values: Sequence[float]) -> Optional[float]:
+    """The mean of ``values``, or None when there are none."""
+    return sum(values) / len(values) if values else None
+
+
 def summarize(records: Sequence[TrialRecord], name: str = "") -> SummaryStats:
     """Aggregate trial records into per-grid-point, per-algorithm statistics.
 
@@ -498,32 +508,23 @@ def summarize(records: Sequence[TrialRecord], name: str = "") -> SummaryStats:
         first = rows[0]
         offdiag = _value_stats([r.total_offdiag for r in rows])
 
+        def column_mean(column: str) -> Optional[float]:
+            return _mean([value for _, value in _present(rows, column)])
+
         algo_stats: dict[str, AlgoStats] = {}
-        means: dict[str, float] = {}
         for algo in ALGORITHMS:
-            weights = [
-                getattr(r, f"{algo}_weight")
-                for r in rows
-                if getattr(r, f"{algo}_weight") is not None
-            ]
+            weights = _present(rows, f"{algo}_weight")
             if not weights:
                 continue
-            vs = _value_stats(weights)
-            normalized = [
-                getattr(r, f"{algo}_weight") / r.total_offdiag
-                for r in rows
-                if getattr(r, f"{algo}_weight") is not None and r.total_offdiag > 0
-            ]
-            norm_stats = _value_stats(normalized) if normalized else None
-            times = [r.wall_times[algo] for r in rows if algo in r.wall_times]
+            normalized = [w / r.total_offdiag for r, w in weights if r.total_offdiag > 0]
             algo_stats[algo] = AlgoStats(
-                weight=vs,
-                normalized_mean=norm_stats.mean if norm_stats else None,
-                normalized_cv=_cv(norm_stats) if norm_stats else None,
-                mean_wall_time=sum(times) / len(times) if times else None,
+                weight=_value_stats([w for _, w in weights]),
+                normalized_mean=_mean(normalized),
+                normalized_cv=_cv(_value_stats(normalized)) if normalized else None,
+                mean_wall_time=_mean([r.wall_times[algo] for r in rows if algo in r.wall_times]),
             )
-            means[algo] = vs.mean
 
+        means = {algo: stats.weight.mean for algo, stats in algo_stats.items()}
         ratios: dict[str, float] = {}
         if "random" in means and "exact" in means and means["exact"] != 0:
             ratios["random_over_exact"] = means["random"] / means["exact"]
@@ -536,9 +537,6 @@ def summarize(records: Sequence[TrialRecord], name: str = "") -> SummaryStats:
         if target is not None and means[target] != 0:
             concentration = algo_stats[target].weight.variance / means[target] ** 2
 
-        terminated = [r.bipartize_terminated for r in rows if r.bipartize_terminated is not None]
-        disjoint = [r.bipartize_label_disjoint for r in rows if r.bipartize_label_disjoint is not None]
-        iterations = [r.bipartize_iterations for r in rows if r.bipartize_iterations is not None]
         grid_stats.append(
             GridStats(
                 grid_id=grid_id,
@@ -552,15 +550,9 @@ def summarize(records: Sequence[TrialRecord], name: str = "") -> SummaryStats:
                 ratios=ratios,
                 concentration_target=target,
                 concentration=concentration,
-                termination_fraction=(
-                    sum(terminated) / len(terminated) if terminated else None
-                ),
-                label_disjoint_fraction=(
-                    sum(disjoint) / len(disjoint) if disjoint else None
-                ),
-                mean_iterations=(
-                    sum(iterations) / len(iterations) if iterations else None
-                ),
+                termination_fraction=column_mean("bipartize_terminated"),
+                label_disjoint_fraction=column_mean("bipartize_label_disjoint"),
+                mean_iterations=column_mean("bipartize_iterations"),
             )
         )
     return SummaryStats(name=name, schema="wrig-lab summary 1", grid=tuple(grid_stats))
