@@ -31,10 +31,12 @@ ExcludedEdge = tuple[int, int, int]  # (u, v, label) with u < v
 
 STRONG_MIN_SIZE = 3
 
-# Largest cycle size and vertex count that count_sequences_exact enumerates,
-# and largest cycle size whose expected count is summed (a pair of logs per step).
+# Largest cycle size that count_sequences_exact enumerates (its recursion
+# depth), and the work it may do at any n: its vertices plus the vertex pairs
+# its labels hold, then its DFS calls plus the entries they scan.  Largest
+# cycle size whose expected count is summed (a pair of logs per step).
 SEQUENCE_MAX_K = 4
-SEQUENCE_MAX_N = 12
+SEQUENCE_WORK_BUDGET = 2**25
 EXPECTED_MAX_K = 2**20
 
 
@@ -409,30 +411,40 @@ def count_sequences_exact(R: RepresentationMatrix, k: int) -> int:
 
     Counts sequences with distinct vertices and distinct labels in the same
     canonical form as ``VertexLabelSequence``: the smallest vertex leads,
-    reflections count separately.  Exponential in k, hence the caps
-    ``SEQUENCE_MAX_K`` and ``SEQUENCE_MAX_N``.
+    reflections count separately.  Exponential in k, hence the cap
+    ``SEQUENCE_MAX_K``.  At any n, a matrix whose pair table or search would
+    take more than ``SEQUENCE_WORK_BUDGET`` steps is an InputError.
     """
     if k < 1:
         raise InputError(f"k must be >= 1, got {k}")
     if k > SEQUENCE_MAX_K:
         raise InputError(f"k={k} exceeds the cap {SEQUENCE_MAX_K}")
-    if R.n > SEQUENCE_MAX_N:
-        raise InputError(f"n={R.n} exceeds the cap {SEQUENCE_MAX_N}")
     if k > R.n or k > R.m:
         return 0
     if k == 1:
         return R.diagonal_sum()
 
+    over_budget = f"counting cycles of size k={k} exceeds the work budget {SEQUENCE_WORK_BUDGET}"
+    pair_entries = (R.entry_sum() - R.diagonal_sum()) // 2  # sum of C(|L_l|, 2)
+    if R.n + pair_entries > SEQUENCE_WORK_BUDGET:
+        raise InputError(over_budget)
     pairs, adj = _skeleton(R.n, [combinations(_members(R, l).tolist(), 2) for l in range(R.m)])
+    work = 0
 
     def closings(path: tuple[int, ...], used: tuple[int, ...]) -> int:
         """Cycles that extend ``path`` (its first vertex the smallest) with
         distinct labels not in ``used``, one per remaining consecutive pair."""
+        nonlocal work
         last = path[-1]
-        if len(path) == k:
-            return len([l for l in pairs.get((path[0], last), ()) if l not in used])
+        closing = len(path) == k
+        scanned = pairs.get((path[0], last), ()) if closing else adj[last]
+        work += 1 + len(scanned)
+        if work > SEQUENCE_WORK_BUDGET:
+            raise InputError(over_budget)
+        if closing:
+            return len([l for l in scanned if l not in used])
         total = 0
-        for w in adj[last]:
+        for w in scanned:
             if w > path[0] and w not in path:
                 for l in pairs[(last, w) if last < w else (w, last)]:
                     if l not in used:

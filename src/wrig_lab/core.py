@@ -147,12 +147,14 @@ class RepresentationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
-    """A 2-coloring of the vertices: a read-only int8 array of +1/-1 values."""
+    """A 2-coloring of the vertices: a read-only 1-d int8 array of +1/-1 values."""
 
     values: np.ndarray
 
     def __post_init__(self):
         raw = np.asarray(self.values)
+        if raw.ndim != 1:
+            raise InputError(f"coloring values must be one-dimensional, got shape {raw.shape}")
         ok = (raw == 1) | (raw == -1)
         if not ok.all():
             bad = raw[~ok][0]

@@ -63,7 +63,7 @@ class ExperimentSpec:
     ``grid`` holds one ModelParams per grid point, already expanded from the
     sweep description in the config file by ``expand_grid``; every other
     field is a config key with its default.  ``workers=0`` means one
-    process per CPU.
+    process per CPU this process may run on.
     """
 
     grid: tuple[ModelParams, ...]
@@ -346,9 +346,10 @@ def run_experiment(
     Records stream in (grid, trial) order, as they arrive, to a temporary
     file next to ``spec.output`` (CSV) that replaces it once every trial has
     run and is removed if one fails; the summary goes to ``spec.summary``
-    (JSON).  Output bytes are invariant to the worker count.  ``workers``
-    overrides ``spec.workers`` under the same rule.  At most one process per
-    CPU and per trial is started.
+    (JSON), whose directory must exist before the first trial.  Output bytes
+    are invariant to the worker count.  ``workers`` overrides
+    ``spec.workers`` under the same rule.  At most one process per CPU this
+    process may run on, and per trial, is started.
 
     The worker pool is started once and kept for later calls with the same
     process count, which pays only where a process calls this more than
@@ -358,6 +359,8 @@ def run_experiment(
     when the pool started: code that patches module attributes must do so
     before the first pool call, or run with ``workers=1``.
     """
+    if spec.summary and not Path(spec.summary).parent.is_dir():
+        raise InputError(f"the directory of summary {spec.summary!r} does not exist")
     for point in spec.grid:
         message = point.regime_warning()
         if message is not None:
@@ -370,7 +373,10 @@ def run_experiment(
         for grid_id in range(len(spec.grid))
         for trial in range(spec.trials)
     ]
-    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     count = min(spec.workers or cpus, cpus, len(tasks))
 
     records: list[TrialRecord] = []

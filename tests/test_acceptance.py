@@ -245,6 +245,28 @@ def test_criterion_08_sequence_count_formula():
                    f"{elapsed:.1f}s (< 180s)")
 
 
+def test_sequence_count_formula_at_n_1000():
+    """Criterion 08 in the c-sweep regime: at n = m = 1000, p = c/n, the
+    Monte Carlo mean of the exact k = 3 count matches the expectation within
+    3 SE for c = 1 and 2."""
+    trials = 200
+    for c in (1.0, 2.0):
+        params = ModelParams.from_c(1000, c)
+        counts = np.array(
+            [
+                count_sequences_exact(sample_matrix(params, derive_seed(808, t)), 3)
+                for t in range(trials)
+            ],
+            dtype=float,
+        )
+        expected = expected_sequence_count(1000, 1000, c / 1000, 3)
+        se = counts.std(ddof=1) / math.sqrt(trials)
+        z = (counts.mean() - expected) / se
+        print(f"[count n=1000 c={c:g}] mean={counts.mean():.3f} expected={expected:.3f} "
+              f"z={z:+.2f}", flush=True)
+        assert abs(z) <= 3, f"c={c}: z={z:+.2f}"
+
+
 def test_criterion_09_concentration_trend():
     """Relative spread of the off-diagonal mass (and of the normalized
     majority cut) shrinks as n grows at fixed c = 2."""

@@ -2,12 +2,14 @@ import hashlib
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     count_sequences_reference,
+    dense_matrix,
     derive_seed,
     matrices,
     oracle_max_cut_weight,
@@ -17,6 +19,7 @@ from helpers import (
 )
 from wrig_lab.bipartization import (
     EXPECTED_MAX_K,
+    SEQUENCE_WORK_BUDGET,
     VertexLabelSequence,
     _shortest_odd_cycle,
     _two_color,
@@ -464,9 +467,9 @@ def test_count_caps():
         count_sequences_exact(WEAK_TRIANGLE, 5)
     with pytest.raises(ValueError):
         count_sequences_exact(WEAK_TRIANGLE, 0)
+    # No cap on n: a 13-vertex matrix is counted.
     big = RepresentationMatrix.from_label_sets(13, [[0, 1]])
-    with pytest.raises(ValueError):
-        count_sequences_exact(big, 3)
+    assert count_sequences_exact(big, 3) == 0
 
 
 @settings(deadline=None, max_examples=60)
@@ -517,6 +520,33 @@ def test_expected_sequence_count_values():
     for n, m, k in ((100_000, 100_000, 1000), (10**400, 5, 2)):
         with pytest.raises(InputError, match=f"n={n}, m={m}, p=1.0, k={k} exceeds the float range"):
             expected_sequence_count(n, m, 1.0, k)
+
+
+def test_count_stops_at_the_work_budget():
+    # The search at m = 80 would enumerate 374,369,086 cycles, about 50 s.
+    dense = sample_matrix(ModelParams.fixed(12, 80, 0.5), 1)
+    with pytest.raises(InputError, match=f"k=4 exceeds the work budget {SEQUENCE_WORK_BUDGET}$"):
+        count_sequences_exact(dense, 4)
+    # Refused before the pair table: a label of 8193 vertices holds more than
+    # 2^25 pairs, and 2^40 vertices would not fit in memory.
+    for R, k in (
+        (RepresentationMatrix.from_label_sets(8193, [range(8193), [0, 1]]), 2),
+        (RepresentationMatrix.from_label_sets(2**40, [[0, 1], [1, 2], [0, 2]]), 3),
+    ):
+        with pytest.raises(InputError, match=f"k={k} exceeds the work budget"):
+            count_sequences_exact(R, k)
+
+
+def test_count_k2_matches_the_pair_formula_at_n_1000():
+    # k = 2 counts ordered pairs of distinct labels that share a vertex pair:
+    # the sum over a < b of W_ab (W_ab - 1), with W = R^T R (a float product
+    # of 0/1 entries, exact at these sizes).
+    R = sample_matrix(ModelParams.from_c(1000, 4.0), 5)
+    D = dense_matrix(R).astype(np.float64)
+    shared = (D.T @ D)[np.triu_indices(R.n, 1)].astype(np.int64)
+    expected = int((shared * (shared - 1)).sum())
+    assert expected > 0
+    assert count_sequences_exact(R, 2) == expected
 
 
 def test_monte_carlo_count_tracks_expectation_small():

@@ -234,6 +234,9 @@ def test_experiment_prints_out_of_window_warnings_as_sample_does(tmp_path, capsy
     assert capsys.readouterr().err == 2 * warning
     assert main(["sample", "--n", "100", "--c", "0.5"]) == 0
     assert capsys.readouterr().err == warning
+    # A bad override is refused before any warning, as the spec's own values are.
+    assert main(["experiment", "--spec", str(spec_path), "--workers", "-1"]) == 1
+    assert capsys.readouterr().err == "error: workers must be >= 0, got -1\n"
 
 
 def test_experiment_refuses_one_file_for_csv_and_summary(tmp_path, capsys):
@@ -250,6 +253,28 @@ def test_experiment_refuses_one_file_for_csv_and_summary(tmp_path, capsys):
     assert main(["experiment", "--spec", str(spec_path), "--workers", "1"]) == 1
     capsys.readouterr()
     assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_experiment_refuses_a_summary_it_cannot_write_before_any_trial(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"regime": "c-sweep", "n": 100, "c": 1.0, "trials": 200}))
+    summary = str(tmp_path / "nodir" / "summary.json")
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv"),
+                 "--summary", summary]) == 1
+    assert capsys.readouterr().err == (
+        f"error: the directory of summary {summary!r} does not exist\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json"]
+
+
+def test_count_sequences_over_the_work_budget_exits_one(tmp_path, capsys):
+    # One label of 8193 vertices holds more than 2^25 vertex pairs.
+    path = tmp_path / "wide.wrig"
+    write_matrix(RepresentationMatrix.from_label_sets(8193, [range(8193), [0, 1]]), path)
+    assert main(["count-sequences", "--in", str(path), "--k", "2"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: counting cycles of size k=2 exceeds the work budget {2**25}\n"
+    )
 
 
 def test_sample_at_p_1e_17_exits_zero(capsys):

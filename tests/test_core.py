@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from helpers import (
 from wrig_lab import cuts
 from wrig_lab.core import (
     Coloring,
+    InputError,
     RepresentationMatrix,
     cut_weight,
     discrepancy,
@@ -153,6 +156,13 @@ def test_from_csr_matches_from_label_sets_and_is_read_only():
 def test_coloring_rejects_values_other_than_plus_minus_one(bad):
     with pytest.raises(ValueError, match=rf"^coloring entries must be \+1 or -1, got {bad}$"):
         Coloring((1, -1, bad, 1))
+
+
+@pytest.mark.parametrize("values", [np.array([[1], [-1]]), np.array(1)], ids=["2d", "0d"])
+def test_coloring_rejects_values_that_are_not_one_dimensional(values):
+    message = f"coloring values must be one-dimensional, got shape {values.shape}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        Coloring(values)
 
 
 def test_coloring_is_a_read_only_int8_array():

@@ -289,6 +289,14 @@ def test_worker_counts_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+def allow_cpus(monkeypatch, count: int) -> None:
+    """Let this process run on ``count`` CPUs, by both counts the harness reads."""
+    monkeypatch.setattr(experiment.os, "cpu_count", lambda: count)
+    monkeypatch.setattr(
+        experiment.os, "sched_getaffinity", lambda pid: set(range(count)), raising=False
+    )
+
+
 @pytest.fixture
 def fake_pools(monkeypatch):
     """Pools built on 4 CPUs, which map in-process, with no pool cached."""
@@ -310,7 +318,7 @@ def fake_pools(monkeypatch):
 
     monkeypatch.setattr(experiment, "_pool", None)
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 4)
+    allow_cpus(monkeypatch, 4)
     return pools
 
 
@@ -324,6 +332,13 @@ def test_pool_is_bounded_by_cpus_and_trials(fake_pools, workers, trials, started
     assert [pool.max_workers for pool in fake_pools] == ([] if started is None else [started])
     serial, _ = run_experiment(spec, workers=1)
     assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
+
+
+def test_one_allowed_cpu_runs_serially(fake_pools, monkeypatch):
+    # os.cpu_count() counts the machine; the affinity mask is what may run.
+    monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    run_experiment(make_spec(trials=6, algorithms=["random"]), workers=0)
+    assert fake_pools == []
 
 
 def test_a_pool_of_another_size_replaces_the_cached_one(fake_pools):
@@ -345,7 +360,7 @@ def wait_until_gone(pids: set[int]) -> None:
 
 
 def test_pool_is_kept_across_calls(monkeypatch):
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
     spec = make_spec(trials=4, algorithms=["random"])
     run_experiment(spec, workers=2)
     started = worker_pids()
@@ -357,7 +372,7 @@ def test_pool_is_kept_across_calls(monkeypatch):
 
 
 def test_a_worker_killed_between_calls_costs_no_call(monkeypatch):
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
     spec = make_spec(trials=4, algorithms=["random", "majority"])
     serial = list(map(record_to_csv_row, run_experiment(spec, workers=1)[0]))
     run_experiment(spec, workers=2)
@@ -372,7 +387,7 @@ def test_a_worker_killed_between_calls_costs_no_call(monkeypatch):
 
 
 def test_a_trial_that_raises_in_a_worker_shuts_the_pool_down(monkeypatch):
-    monkeypatch.setattr(experiment.os, "cpu_count", lambda: 2)
+    allow_cpus(monkeypatch, 2)
     spec = make_spec(trials=4, algorithms=["random"])
     run_experiment(spec, workers=2)
     started = worker_pids()
@@ -394,6 +409,7 @@ def test_workers_exit_with_the_interpreter():
         "import multiprocessing, os\n"
         "from wrig_lab import experiment\n"
         "os.cpu_count = lambda: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
         "spec = experiment.ExperimentSpec.from_dict({'n': 10, 'm': 10, 'p': 0.2, 'trials': 4})\n"
         "experiment.run_experiment(spec, workers=2)\n"
         "print(*(child.pid for child in multiprocessing.active_children()))\n"
