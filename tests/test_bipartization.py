@@ -157,6 +157,12 @@ ODD_CYCLE_CASES = {
         ),
         None,
     ),
+    # 72 odd vertices, so more than one 64-bit word: a 67-cycle on 0..66 and
+    # the winning 5-cycle on 70..74, whose start vertex lies above 63.
+    "start_above_63": (
+        _adjacency(75, _path(*range(67), 0) + _path(70, 71, 72, 73, 74, 70)),
+        [70, 71, 72, 73, 74],
+    ),
 }
 
 
@@ -335,6 +341,12 @@ PINNED_RUNS = {
         {"regime": "fixed", "n": 20, "m": 60, "p": 0.1, "max_rematch": 50, "trials": 100},
         "a5281bb227671aa2f6b9ad16a34e16a3a5797db0f1ad190bc76792b7c864fe4b",
         {"terminated": 0, "weak_cycles": 20, "not_disjoint": 4, "shared_pair_excluded": 2},
+    ),
+    # A skeleton of 1000 vertices: long walks and searches over wide vertex sets.
+    "large_n": (
+        {"regime": "c-sweep", "n": 1000, "c": [1.5, 2.0], "max_rematch": 5, "trials": 5},
+        "68783cc15723863148158347c17a28af750e0d9b296c153ba656a2d13d0af5e9",
+        {"terminated": 4},
     ),
 }
 
