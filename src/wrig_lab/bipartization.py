@@ -153,47 +153,34 @@ def _shortest_odd_cycle(adj: list[list[int]], odd: Sequence[int]) -> Optional[li
     """Vertices of a minimum-length odd cycle, or None if ``odd`` is empty.
 
     ``odd`` lists the vertices of the non-bipartite components, as
-    ``_two_color(adj)`` gives them.  The shortest odd closed walk through
-    each start vertex comes from a BFS on the bipartite double cover; at
-    the global minimum that walk is a simple cycle.  Ties go to the
-    smallest start vertex.
-
-    The search runs on the 2-core from the core vertices in ``odd``, and
-    returns the cycle a search from every vertex returns.  A component's
-    core is connected, and bipartite exactly when the component is.  A
-    vertex peeled off the core sits on a tree hanging off it (or on a tree
-    component), so its shortest odd closed walk is at least g + 2 long, g
-    the global minimum: it never reaches g first, and its cutoff prunes no
-    walk of length g.  A hanging tree leads back only to its core vertex,
-    with that vertex's parity, so it never sets a core node's BFS parent
-    nor reorders the core nodes of a BFS level.
+    ``_two_color(adj)`` gives them.  ``walks[v]`` is a bitset over them,
+    bit i set when a walk of the current length joins the i-th smallest
+    start to v; one step ORs each vertex's neighbours' bitsets.  A walk may
+    go back and forth along an edge, so the first odd length g at which
+    some start lies on a closed walk is the odd girth, and every start set
+    then lies on a shortest odd cycle.  Ties go to the smallest such
+    start, and its double-cover BFS gives the cycle.  A shortest odd cycle
+    is simple, so g is at most ``len(odd)``.  Each of the g steps costs
+    O((n' + e') n' / w) for the n' vertices and e' edges of the odd
+    components and machine words of w bits.
     """
-    core = _two_core(adj)
-    best: Optional[list[int]] = None
-    for s in sorted(v for v in odd if core[v]):
-        cycle = _odd_cycle_through(core, s, None if best is None else len(best))
-        if cycle is not None:
-            best = cycle
-            if len(best) == 3:
-                break
-    return best
-
-
-def _two_core(adj: list[list[int]]) -> list[list[int]]:
-    """The 2-core's adjacency: vertices of degree <= 1 are peeled until none
-    is left; a peeled vertex keeps no neighbours, a core vertex its core
-    neighbours in their order.  O(n + e)."""
-    degree = [len(nbrs) for nbrs in adj]
-    in_core = [d > 1 for d in degree]
-    peel = [v for v, kept in enumerate(in_core) if not kept]
-    while peel:
-        for w in adj[peel.pop()]:
-            if in_core[w]:
-                degree[w] -= 1
-                if degree[w] <= 1:
-                    in_core[w] = False
-                    peel.append(w)
-    return [[w for w in nbrs if in_core[w]] if kept else [] for nbrs, kept in zip(adj, in_core)]
+    starts = sorted(odd)
+    walks = [0] * len(adj)
+    for i, s in enumerate(starts):
+        walks[s] = 1 << i
+    following = [0] * len(adj)
+    for length in range(1, len(starts) + 1):
+        for v in starts:
+            reach = 0
+            for w in adj[v]:
+                reach |= walks[w]
+            following[v] = reach
+        walks, following = following, walks
+        if length % 2:
+            for i, s in enumerate(starts):
+                if walks[s] >> i & 1:
+                    return _odd_cycle_through(adj, s)
+    return None
 
 
 def _two_color(adj: list[list[int]]) -> tuple[list[int], list[int]]:
@@ -219,21 +206,17 @@ def _two_color(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     return signs, odd
 
 
-def _odd_cycle_through(
-    adj: list[list[int]], s: int, cutoff: Optional[int]
-) -> Optional[list[int]]:
-    """Shortest odd closed walk from s, if one is shorter than ``cutoff``.
+def _odd_cycle_through(adj: list[list[int]], s: int) -> Optional[list[int]]:
+    """Shortest odd closed walk from s, None if s is on no odd cycle.
 
     BFS over the double cover, level by level, where node 2v + parity is
     vertex v reached after a walk of that parity; the walk ends at node
-    2s + 1.  Levels from cutoff - 1 on are not expanded, since every walk
-    they would lead to is at least ``cutoff`` long.
+    2s + 1.
     """
     start, goal = 2 * s, 2 * s + 1
     parent = {start: start}
     frontier = [start]
-    depth = 0
-    while frontier and (cutoff is None or depth + 1 < cutoff):
+    while frontier:
         following = []
         for node in frontier:
             flip = 1 - (node & 1)
@@ -251,7 +234,6 @@ def _odd_cycle_through(
                     return walk[::-1]
                 following.append(nxt)
         frontier = following
-        depth += 1
     return None
 
 

@@ -338,6 +338,15 @@ def _drop_pool_on_error(exc_type, exc, tb) -> None:
         _drop_pool()
 
 
+def _check_destination(role: str, path: str) -> None:
+    """An InputError naming ``path`` unless it can be written as a file: its
+    directory exists and it is not a directory itself."""
+    if not Path(path).parent.is_dir():
+        raise InputError(f"the directory of {role} {path!r} does not exist")
+    if Path(path).is_dir():
+        raise InputError(f"{role} {path!r} is a directory")
+
+
 def run_experiment(
     spec: ExperimentSpec, *, workers: Optional[int] = None
 ) -> tuple[list[TrialRecord], "SummaryStats"]:
@@ -346,10 +355,11 @@ def run_experiment(
     Records stream in (grid, trial) order, as they arrive, to a temporary
     file next to ``spec.output`` (CSV) that replaces it once every trial has
     run and is removed if one fails; the summary goes to ``spec.summary``
-    (JSON), whose directory must exist before the first trial.  Output bytes
-    are invariant to the worker count.  ``workers`` overrides
-    ``spec.workers`` under the same rule.  At most one process per CPU this
-    process may run on, and per trial, is started.
+    (JSON).  Both must name a file in an existing directory, which is
+    checked before the first trial.  Output bytes are invariant to the
+    worker count.  ``workers`` overrides ``spec.workers`` under the same
+    rule.  At most one process per CPU this process may run on, and per
+    trial, is started.
 
     The worker pool is started once and kept for later calls with the same
     process count, which pays only where a process calls this more than
@@ -359,8 +369,9 @@ def run_experiment(
     when the pool started: code that patches module attributes must do so
     before the first pool call, or run with ``workers=1``.
     """
-    if spec.summary and not Path(spec.summary).parent.is_dir():
-        raise InputError(f"the directory of summary {spec.summary!r} does not exist")
+    for role, path in (("output", spec.output), ("summary", spec.summary)):
+        if path:
+            _check_destination(role, path)
     for point in spec.grid:
         message = point.regime_warning()
         if message is not None:

@@ -108,17 +108,12 @@ def majority_reference(R: RepresentationMatrix, epsilon: float, seed: Seed) -> t
 def shortest_odd_cycle_reference(adj: list[list[int]]) -> Optional[list[int]]:
     """Shortest odd cycle by a double-cover BFS from every vertex in turn.
 
-    Same cutoff and tie rule as ``wrig_lab.bipartization._shortest_odd_cycle``
-    (the smallest start vertex wins), but no pruning of start vertices.
+    The first of the least length among the shortest odd closed walks from
+    vertex 0, 1, ...: ties go to the smallest start vertex, as in
+    ``wrig_lab.bipartization._shortest_odd_cycle``.
     """
-    best: Optional[list[int]] = None
-    for s in range(len(adj)):
-        cycle = _odd_cycle_through(adj, s, None if best is None else len(best))
-        if cycle is not None:
-            best = cycle
-            if len(best) == 3:
-                break
-    return best
+    walks = (_odd_cycle_through(adj, s) for s in range(len(adj)))
+    return min((walk for walk in walks if walk is not None), key=len, default=None)
 
 
 def count_sequences_reference(R: RepresentationMatrix, k: int) -> int:

@@ -23,7 +23,6 @@ from wrig_lab.bipartization import (
     VertexLabelSequence,
     _shortest_odd_cycle,
     _two_color,
-    _two_core,
     count_sequences_exact,
     default_max_rematch,
     expected_sequence_count,
@@ -116,15 +115,6 @@ def _path(*vs):
 @given(simple_graphs())
 def test_pruned_search_matches_search_from_every_vertex(adj):
     assert _shortest_odd_cycle(adj, _two_color(adj)[1]) == shortest_odd_cycle_reference(adj)
-
-
-@settings(deadline=None, max_examples=300)
-@given(simple_graphs())
-def test_odd_core_vertices_are_the_odd_vertices_of_the_core(adj):
-    # The 2-core of a component is connected, and bipartite exactly when the
-    # component is: the odd start set can be read off the whole graph's colouring.
-    core = _two_core(adj)
-    assert sorted(v for v in _two_color(adj)[1] if core[v]) == sorted(_two_color(core)[1])
 
 
 ODD_CYCLE_CASES = {
