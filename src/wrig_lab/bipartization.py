@@ -11,7 +11,10 @@ BFS-parity coloring of it balances every label set as well as possible.
 
 Every graph pass builds its graph with ``_skeleton`` (the pair -> labels
 table and sorted adjacency, of the matchings or of all pairs a label holds)
-and 2-colours it with the one BFS of ``_two_color``.
+and 2-colours it with the one BFS of ``_two_color``.  A shortest odd cycle
+comes from one walk of start-vertex bitsets over the odd components, which
+stops at the odd girth, and one double-cover BFS from the smallest start
+on such a cycle (``_shortest_odd_cycle``).
 """
 
 from __future__ import annotations
@@ -157,8 +160,8 @@ def _shortest_odd_cycle(adj: list[list[int]], odd: Sequence[int]) -> Optional[li
     bit i set when a walk of the current length joins the i-th smallest
     start to v; one step ORs each vertex's neighbours' bitsets.  A walk may
     go back and forth along an edge, so the first odd length g at which
-    some start lies on a closed walk is the odd girth, and every start set
-    then lies on a shortest odd cycle.  Ties go to the smallest such
+    some start lies on a closed walk is the odd girth, and each start found
+    there lies on a shortest odd cycle.  Ties go to the smallest such
     start, and its double-cover BFS gives the cycle.  A shortest odd cycle
     is simple, so g is at most ``len(odd)``.  Each of the g steps costs
     O((n' + e') n' / w) for the n' vertices and e' edges of the odd

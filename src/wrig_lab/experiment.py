@@ -341,9 +341,10 @@ def _drop_pool_on_error(exc_type, exc, tb) -> None:
 def _check_destination(role: str, path: str) -> None:
     """An InputError naming ``path`` unless it can be written as a file: its
     directory exists and it is not a directory itself."""
-    if not Path(path).parent.is_dir():
+    target = Path(path)
+    if not target.parent.is_dir():
         raise InputError(f"the directory of {role} {path!r} does not exist")
-    if Path(path).is_dir():
+    if target.is_dir():
         raise InputError(f"{role} {path!r} is a directory")
 
 

@@ -257,28 +257,26 @@ def test_failed_run_leaves_the_old_csv(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "key, where, message",
+    "where, message",
     [
-        ("output", "nodir/out.csv", "the directory of output {!r} does not exist"),
-        ("output", "adir", "output {!r} is a directory"),
-        ("summary", "nodir/s.json", "the directory of summary {!r} does not exist"),
-        ("summary", "adir", "summary {!r} is a directory"),
+        ("nodir/out.csv", "the directory of output {!r} does not exist"),
+        ("adir", "output {!r} is a directory"),
     ],
-    ids=["output_without_dir", "output_is_dir", "summary_without_dir", "summary_is_dir"],
+    ids=["without_dir", "is_dir"],
 )
-def test_run_refuses_a_destination_it_cannot_write_before_any_trial(
-    tmp_path, monkeypatch, key, where, message
+def test_run_refuses_an_output_it_cannot_write_before_any_trial(
+    tmp_path, monkeypatch, where, message
 ):
     (tmp_path / "adir").mkdir()
-    path = str(tmp_path / where)
+    output = str(tmp_path / where)
 
     def no_trial(*args):
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(experiment, "_run_trial", no_trial)
     with pytest.raises(InputError) as raised:
-        run_experiment(make_spec(**{key: path}), workers=1)
-    assert str(raised.value) == message.format(path)
+        run_experiment(make_spec(output=output), workers=1)
+    assert str(raised.value) == message.format(output)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["adir"]
     assert list((tmp_path / "adir").iterdir()) == []
 
