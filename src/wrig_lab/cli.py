@@ -17,12 +17,11 @@ import argparse
 import dataclasses
 import json
 import sys
-import warnings
 from typing import Optional, Sequence
 
 from . import bipartization, cuts, experiment, textio
 from .core import InputError, cut_weight, discrepancy
-from .sampling import sample_matrix
+from .sampling import ModelParams, sample_matrix
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -99,11 +98,11 @@ def cmd_sample(args) -> int:
     # Whichever of --m, --alpha and --c is given names the regime.
     regime = next(r for r, reads in experiment.REGIME_KEYS.items() if reads[0] in given)
     [params] = experiment.expand_grid(dict(given, regime=regime))
-    message = params.regime_warning()
-    if message is not None:
-        print(f"warning: {message}", file=sys.stderr)
+    _print_regime_warnings([params])
+    if args.out is not None:
+        textio.check_destination("output", args.out)
     R = sample_matrix(params, args.seed)
-    if args.out:
+    if args.out is not None:
         textio.write_matrix(R, args.out)
     else:
         sys.stdout.write(textio.format_matrix(R))
@@ -111,9 +110,11 @@ def cmd_sample(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.coloring_out is not None:
+        textio.check_destination("coloring output", args.coloring_out)
     R = textio.read_matrix(args.infile)
     result = cuts.solve(R, args.algo, args.seed, epsilon=args.epsilon)
-    if args.coloring_out:
+    if args.coloring_out is not None:
         textio.write_coloring(result.coloring, args.coloring_out)
     payload = {
         "algorithm": args.algo,
@@ -184,10 +185,8 @@ def cmd_experiment(args) -> int:
         if getattr(args, key) is not None
     }
     spec = dataclasses.replace(experiment.ExperimentSpec.from_file(args.spec), **overrides)
-    with warnings.catch_warnings():
-        warnings.simplefilter("always")
-        warnings.showwarning = _print_warning
-        records, stats = experiment.run_experiment(spec)
+    _print_regime_warnings(spec.grid)
+    records, stats = experiment.run_experiment(spec)
     for grid in stats.grid:
         fraction = grid.termination_fraction
         print(
@@ -200,9 +199,12 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
-def _print_warning(message, *_) -> None:
-    """A ``warnings.showwarning`` that prints the message as ``sample`` does."""
-    print(f"warning: {message}", file=sys.stderr)
+def _print_regime_warnings(grid: Sequence[ModelParams]) -> None:
+    """One ``warning: <message>`` line on stderr per point outside the studied window."""
+    for params in grid:
+        message = params.regime_warning()
+        if message is not None:
+            print(f"warning: {message}", file=sys.stderr)
 
 
 _COMMANDS = {

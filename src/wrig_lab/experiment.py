@@ -16,7 +16,6 @@ import math
 import numbers
 import os
 import time
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import ExitStack
@@ -80,8 +79,11 @@ class ExperimentSpec:
     def __post_init__(self):
         _check_text("name", self.name)
         for key in ("output", "summary"):
-            if getattr(self, key) is not None:
-                _check_text(key, getattr(self, key))
+            value = getattr(self, key)
+            if value is not None:
+                _check_text(key, value)
+                if not value:
+                    raise InputError(f"{key} must name a file, got ''")
         if self.output is not None and self.summary is not None:
             if os.path.abspath(self.output) == os.path.abspath(self.summary):
                 raise InputError(
@@ -338,16 +340,6 @@ def _drop_pool_on_error(exc_type, exc, tb) -> None:
         _drop_pool()
 
 
-def _check_destination(role: str, path: str) -> None:
-    """An InputError naming ``path`` unless it can be written as a file: its
-    directory exists and it is not a directory itself."""
-    target = Path(path)
-    if not target.parent.is_dir():
-        raise InputError(f"the directory of {role} {path!r} does not exist")
-    if target.is_dir():
-        raise InputError(f"{role} {path!r} is a directory")
-
-
 def run_experiment(
     spec: ExperimentSpec, *, workers: Optional[int] = None
 ) -> tuple[list[TrialRecord], "SummaryStats"]:
@@ -360,7 +352,8 @@ def run_experiment(
     checked before the first trial.  Output bytes are invariant to the
     worker count.  ``workers`` overrides ``spec.workers`` under the same
     rule.  At most one process per CPU this process may run on, and per
-    trial, is started.
+    trial, is started.  A grid point outside the studied window runs like
+    any other, with no warning: ``ModelParams.regime_warning()`` names it.
 
     The worker pool is started once and kept for later calls with the same
     process count, which pays only where a process calls this more than
@@ -371,12 +364,8 @@ def run_experiment(
     before the first pool call, or run with ``workers=1``.
     """
     for role, path in (("output", spec.output), ("summary", spec.summary)):
-        if path:
-            _check_destination(role, path)
-    for point in spec.grid:
-        message = point.regime_warning()
-        if message is not None:
-            warnings.warn(message, stacklevel=2)
+        if path is not None:
+            textio.check_destination(role, path)
 
     if workers is not None:
         spec = replace(spec, workers=workers)

@@ -79,6 +79,18 @@ def parse_matrix(text: str) -> RepresentationMatrix:
     return RepresentationMatrix.from_csr(n, indptr, np.array(indices, dtype=np.int64) - 1)
 
 
+def check_destination(role: str, path: str) -> None:
+    """An InputError naming ``path`` unless it can be written as a file: it is
+    not empty, its directory exists and it is not a directory itself."""
+    if not path:
+        raise InputError(f"{role} must name a file, got ''")
+    target = Path(path)
+    if not target.parent.is_dir():
+        raise InputError(f"the directory of {role} {path!r} does not exist")
+    if target.is_dir():
+        raise InputError(f"{role} {path!r} is a directory")
+
+
 def write_matrix(R: RepresentationMatrix, path: PathLike) -> None:
     Path(path).write_text(format_matrix(R), encoding="utf-8", newline="\n")
 

@@ -237,6 +237,13 @@ def test_experiment_prints_out_of_window_warnings_as_sample_does(tmp_path, capsy
     # A bad override is refused before any warning, as the spec's own values are.
     assert main(["experiment", "--spec", str(spec_path), "--workers", "-1"]) == 1
     assert capsys.readouterr().err == "error: workers must be >= 0, got -1\n"
+    # Above the window too, from the one check both commands call.
+    above = "warning: p=0.5 is outside the studied window [0.01, 0.1] for n=100, m=100\n"
+    spec_path.write_text(json.dumps({"n": 100, "m": 100, "p": 0.5}))
+    assert main(["experiment", "--spec", str(spec_path), "--workers", "1"]) == 0
+    assert capsys.readouterr().err == above
+    assert main(["sample", "--n", "100", "--m", "100", "--p", "0.5"]) == 0
+    assert capsys.readouterr().err == above
 
 
 def test_experiment_refuses_one_file_for_csv_and_summary(tmp_path, capsys):
@@ -271,6 +278,51 @@ def test_experiment_refuses_a_summary_it_cannot_write_before_any_trial(tmp_path,
     assert capsys.readouterr().err == f"error: summary {str(adir)!r} is a directory\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["adir", "spec.json"]
     assert list(adir.iterdir()) == []
+
+
+def test_experiment_refuses_an_empty_path(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"n": 3, "m": 3, "p": 0.5, "output": "cfg.csv"}))
+    assert main(["experiment", "--spec", str(spec_path), "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: output must name a file, got ''\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json"]
+
+
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ("nodir/out", "the directory of {role} {path!r} does not exist"),
+        ("adir", "{role} {path!r} is a directory"),
+        ("", "{role} must name a file, got ''"),
+    ],
+    ids=["without_dir", "is_dir", "empty"],
+)
+@pytest.mark.parametrize("command", ["sample", "solve"])
+def test_destination_refused_before_any_work(
+    command, where, message, matrix_file, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "adir").mkdir()
+    path = str(tmp_path / where) if where else ""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the destination was checked")
+
+    monkeypatch.setattr(cli, "sample_matrix", no_work)
+    monkeypatch.setattr(cli.cuts, "solve", no_work)
+    monkeypatch.setattr(cli.textio, "read_matrix", no_work)
+    role, argv = {
+        "sample": ("output", ["sample", "--n", "5", "--m", "5", "--p", "0.3", "--out", path]),
+        "solve": (
+            "coloring output",
+            ["solve", "--algo", "random", "--in", str(matrix_file), "--coloring-out", path],
+        ),
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message.format(role=role, path=path)}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["adir", "weak.wrig"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 def test_count_sequences_over_the_work_budget_exits_one(tmp_path, capsys):

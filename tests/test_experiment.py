@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -166,6 +167,10 @@ INVALID_SPECS = [
         {"output": "out.csv", "summary": "./out.csv"},
         "output 'out.csv' and summary './out.csv' name the same file",
     ),
+    # An empty path names no file; it is refused before the same-file check.
+    ({"output": ""}, "output must name a file, got ''"),
+    ({"summary": ""}, "summary must name a file, got ''"),
+    ({"output": "", "summary": ""}, "output must name a file, got ''"),
 ]
 
 
@@ -296,10 +301,7 @@ def test_failed_audit_names_the_trial(tmp_path, monkeypatch):
         "audit failed: recorded weights disagree with the coloring of "
         f"random at grid_id=0, trial=0, seed={seed}"
     )
-    with (
-        pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"),
-        pytest.warns(UserWarning, match="outside the studied window"),
-    ):
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
         run_experiment(spec, workers=1)
     assert out.read_text() == "an earlier run\n"
     assert list(tmp_path.iterdir()) == [out]
@@ -417,10 +419,7 @@ def test_a_trial_that_raises_in_a_worker_shuts_the_pool_down(monkeypatch):
     run_experiment(spec, workers=2)
     started = worker_pids()
     too_many_ones = make_spec(trials=4, m=1 << 23, p=0.5, algorithms=["random"])
-    with (
-        pytest.raises(InputError, match="exceeds the sampler's bound"),
-        pytest.warns(UserWarning, match="outside the studied window"),
-    ):
+    with pytest.raises(InputError, match="exceeds the sampler's bound"):
         run_experiment(too_many_ones, workers=2)
     wait_until_gone(started)
     records, _ = run_experiment(spec, workers=2)
@@ -460,10 +459,13 @@ def test_exact_skipped_above_cap():
     assert stats.grid[0].concentration_target == "random"
 
 
-def test_out_of_window_p_warns_once_per_grid_point():
-    spec = make_spec(n=100, m=100, p=0.005, trials=1, algorithms=["random"])
-    with pytest.warns(UserWarning, match="outside the studied window"):
+def test_out_of_window_p_runs_without_a_warning():
+    spec = make_spec(n=100, m=100, p=[0.005, 0.5], trials=1, algorithms=["random"])
+    assert all(point.regime_warning() is not None for point in spec.grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         run_experiment(spec, workers=1)
+    assert caught == []
 
 
 def test_summary_file_and_ratios(tmp_path):
@@ -579,8 +581,7 @@ def test_all_algorithms_csv_is_pinned(tmp_path):
             "output": str(out),
         }
     )
-    with pytest.warns(UserWarning, match="outside the studied window"):
-        records, _ = run_experiment(spec, workers=1)
+    records, _ = run_experiment(spec, workers=1)
     assert sum(r.bipartize_terminated is False for r in records) == 18
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
@@ -605,8 +606,7 @@ def test_all_algorithms_summary_is_pinned():
             "seed": 2009,
         }
     )
-    with pytest.warns(UserWarning, match="outside the studied window"):
-        records, _ = run_experiment(spec, workers=1)
+    records, _ = run_experiment(spec, workers=1)
     timed = [
         replace(r, wall_times={a: (r.grid_id + 1) / 1000 + r.trial / 3e5 for a in r.wall_times})
         for r in records
