@@ -80,32 +80,15 @@ def random_maximal_matching(
 class VertexLabelSequence:
     """A closed alternating cycle v_1, l_1, v_2, ..., v_k, l_k back to v_1.
 
-    Canonical form: rotated so the smallest vertex comes first; traversal
-    direction is preserved, so a cycle and its reflection are distinct.
-    ``strength`` counts how many of the labels are strong.
+    Label l_i covers the pair (v_i, v_{i+1}).  The detector finds each cycle
+    with its smallest vertex first and keeps its traversal direction, so a
+    cycle and its reflection are distinct.  ``strength`` counts how many of
+    the labels are strong.
     """
 
     vertices: tuple[int, ...]
     labels: tuple[int, ...]
     strength: int
-
-    @classmethod
-    def from_cycle(
-        cls,
-        R: RepresentationMatrix,
-        vertices: Sequence[int],
-        labels: Sequence[int],
-    ) -> "VertexLabelSequence":
-        """Canonical sequence of a cycle whose i-th label covers the pair
-        (vertices[i], vertices[i+1]); the caller guarantees the coverage."""
-        if len(vertices) != len(labels):
-            raise InputError("need one label per consecutive vertex pair")
-        j = min(range(len(vertices)), key=vertices.__getitem__)
-        return cls(
-            vertices=tuple(vertices[j:]) + tuple(vertices[:j]),
-            labels=tuple(labels[j:]) + tuple(labels[:j]),
-            strength=int((R.sizes[list(labels)] >= STRONG_MIN_SIZE).sum()),
-        )
 
 
 @dataclass(frozen=True)
@@ -283,11 +266,12 @@ def find_codd_member(
     while True:
         signs, odd = _two_color(adj)
         if not odd:
-            return None, zero_strong, excluded, Coloring(tuple(signs))
+            return None, zero_strong, excluded, Coloring(signs)
         cycle = _shortest_odd_cycle(adj, odd)
         labels = _cycle_labels(pairs, strong, cycle)
         assert len(set(cycle)) == len(cycle), "detector returned repeated vertices"
-        seq = VertexLabelSequence.from_cycle(R, cycle, labels)
+        # The walk's smallest start leads its cycle: canonical as found.
+        seq = VertexLabelSequence(tuple(cycle), tuple(labels), sum(strong[l] for l in labels))
         if seq.strength > 0:
             return seq, zero_strong, excluded, None
 
@@ -325,14 +309,14 @@ def weak_bipartization(
     strong = _strong_labels(R)
     matchings = [random_maximal_matching(_members(R, l), rng) for l in range(R.m)]
     iterations = 0
-    encountered: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    encountered: set[VertexLabelSequence] = set()
     while True:
         # Looked up at call time, so a wrapper at the module attribute sees
         # every pass.
         member, zero_strong, excluded, coloring = find_codd_member(R, matchings)
         if member is None:
             break
-        encountered.add((member.vertices, member.labels))
+        encountered.add(member)
         if iterations >= max_rematch:
             break
         label = min(l for l in member.labels if strong[l])

@@ -221,7 +221,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (InputError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (
+        InputError,
+        FileNotFoundError,
+        IsADirectoryError,
+        NotADirectoryError,
+        UnicodeDecodeError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (ValueError, OSError, RuntimeError) as exc:

@@ -6,15 +6,16 @@ evaluates |Rx|^2 and |Rx|_inf by plain numpy arithmetic, so library bugs
 cannot hide behind themselves.  Likewise the weighted intersection graph
 scores a cut by summing crossing edges instead of the norm identity, and
 the majority reference visits every vertex in plain Python, the odd-cycle
-reference searches from every vertex of the whole graph, and the sequence
-count enumerates every vertex tuple and every label tuple, the coloring
-parser reads every text token by token, and the matrix formatter writes one
-label tuple at a time.
+reference runs its own double-cover BFS from every vertex of the whole
+graph, and the sequence count enumerates every vertex tuple and every label
+tuple, the coloring parser reads every text token by token, and the matrix
+formatter writes one label tuple at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Optional
@@ -22,7 +23,6 @@ from typing import Optional
 import numpy as np
 from hypothesis import strategies as st
 
-from wrig_lab.bipartization import _odd_cycle_through
 from wrig_lab.core import Coloring, InputError, RepresentationMatrix
 from wrig_lab.sampling import Seed, derive_rng
 
@@ -112,8 +112,33 @@ def shortest_odd_cycle_reference(adj: list[list[int]]) -> Optional[list[int]]:
     vertex 0, 1, ...: ties go to the smallest start vertex, as in
     ``wrig_lab.bipartization._shortest_odd_cycle``.
     """
-    walks = (_odd_cycle_through(adj, s) for s in range(len(adj)))
+    walks = (_shortest_odd_walk(adj, s) for s in range(len(adj)))
     return min((walk for walk in walks if walk is not None), key=len, default=None)
+
+
+def _shortest_odd_walk(adj: list[list[int]], s: int) -> Optional[list[int]]:
+    """Vertices of a shortest odd closed walk from s (s first), or None.
+
+    A queue BFS over (vertex, parity) states that runs to exhaustion; each
+    state keeps its first discoverer as parent, neighbours in sorted order.
+    """
+    parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {(s, 0): None}
+    queue = deque([(s, 0)])
+    while queue:
+        v, parity = queue.popleft()
+        for w in sorted(adj[v]):
+            state = (w, 1 - parity)
+            if state not in parent:
+                parent[state] = (v, parity)
+                queue.append(state)
+    if (s, 1) not in parent:
+        return None
+    walk = []
+    state = parent[(s, 1)]
+    while state is not None:
+        walk.append(state[0])
+        state = parent[state]
+    return walk[::-1]
 
 
 def count_sequences_reference(R: RepresentationMatrix, k: int) -> int:

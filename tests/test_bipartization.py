@@ -20,7 +20,7 @@ from helpers import (
 from wrig_lab.bipartization import (
     EXPECTED_MAX_K,
     SEQUENCE_WORK_BUDGET,
-    VertexLabelSequence,
+    STRONG_MIN_SIZE,
     _shortest_odd_cycle,
     _two_color,
     count_sequences_exact,
@@ -81,19 +81,6 @@ def test_matching_pairs_are_disjoint_and_maximal(members, seed):
     used = [v for pair in pairs for v in pair]
     assert len(used) == len(set(used))
     assert set(used) <= set(members)
-
-
-# --- sequences ---
-
-
-def test_sequence_canonical_rotation_preserves_direction():
-    seq = VertexLabelSequence.from_cycle(WEAK_TRIANGLE, [2, 0, 1], [2, 0, 1])
-    assert seq.vertices == (0, 1, 2)
-    assert seq.labels == (0, 1, 2)
-    assert seq.strength == 0
-    reflected = VertexLabelSequence.from_cycle(WEAK_TRIANGLE, [2, 1, 0], [1, 0, 2])
-    assert reflected.vertices == (0, 2, 1)
-    assert reflected != seq
 
 
 # --- detector ---
@@ -161,6 +148,28 @@ def test_shortest_odd_cycle_cases(case):
     adj, expected = ODD_CYCLE_CASES[case]
     assert _shortest_odd_cycle(adj, _two_color(adj)[1]) == expected
     assert shortest_odd_cycle_reference(adj) == expected
+
+
+def test_detector_cycles_lead_with_their_smallest_vertex():
+    # The walk's smallest start leads its cycle; find_codd_member relies on
+    # that to build each sequence as found, without a rotation.
+    checked = 0
+    for c in (1, 1.5, 2, 3):
+        for seed in range(100):
+            R = sample_matrix(ModelParams.from_c(100, c), derive_seed(6100, seed))
+            rng = derive_rng(derive_seed(6200, seed))
+            matchings = [random_maximal_matching(R.label_sets[l], rng) for l in range(R.m)]
+            member, zero_strong, _, _ = find_codd_member(R, matchings)
+            for seq in zero_strong + ([member] if member else []):
+                vs, k = seq.vertices, len(seq.vertices)
+                assert vs[0] == min(vs)
+                assert len(set(vs)) == k == len(seq.labels)
+                for i, l in enumerate(seq.labels):
+                    u, w = sorted((vs[i], vs[(i + 1) % k]))
+                    assert (u, w) in matchings[l]
+                assert seq.strength == sum(R.sizes[l] >= STRONG_MIN_SIZE for l in seq.labels)
+                checked += 1
+    assert checked > 200
 
 
 def test_detector_records_weak_triangle_and_reports_absent():

@@ -366,6 +366,31 @@ def test_invalid_inputs_exit_one(matrix_file, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: need n*m < 2^63, got n={10**18}, m=12\n"
 
 
+@pytest.mark.parametrize(
+    "where, errno",
+    [("adir", "[Errno 21] Is a directory"), ("weak.wrig/x", "[Errno 20] Not a directory")],
+    ids=["is_dir", "under_a_file"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["solve", "--algo", "random"], ["bipartize"], ["count-sequences", "--k", "3"]],
+    ids=["solve", "bipartize", "count-sequences"],
+)
+def test_input_path_that_is_no_file_exits_one(command, where, errno, matrix_file, tmp_path, capsys):
+    (tmp_path / "adir").mkdir()
+    path = tmp_path / where
+    assert main([*command, "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {errno}: {str(path)!r}\n"
+    assert captured.out == ""
+
+
+def test_spec_that_is_a_directory_exits_one(tmp_path, capsys):
+    assert main(["experiment", "--spec", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["sample", "solve", "bipartize"])
 def test_negative_seed_exits_one_and_names_it(command, matrix_file, capsys):
     given = {
