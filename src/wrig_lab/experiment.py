@@ -4,9 +4,10 @@ An experiment is a grid of model parameters, a trial count, and a list of
 algorithms; every (grid point, trial) pair is an independent work item whose
 random streams are addressed by (experiment seed, grid id, trial index), so
 results are byte-identical no matter how many worker processes run them or
-in which order they finish.  Trial rows stream to CSV in (grid, trial)
-order; aggregate statistics go to a JSON summary.  Per-trial wall times are
-aggregated into the summary only - they would break CSV reproducibility.
+in which order they finish.  Trial rows are written to CSV in (grid, trial)
+order after the last trial; aggregate statistics go to a JSON summary.
+Per-trial wall times are aggregated into the summary only - they would
+break CSV reproducibility.
 """
 
 from __future__ import annotations
@@ -18,11 +19,10 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -334,21 +334,17 @@ def _drop_pool() -> None:
         _pool = None
 
 
-def _drop_pool_on_error(exc_type, exc, tb) -> None:
-    """Exit callback: a pass that raised may leave the pool broken or busy."""
-    if exc_type is not None:
-        _drop_pool()
-
-
 def run_experiment(
     spec: ExperimentSpec, *, workers: Optional[int] = None
 ) -> tuple[list[TrialRecord], "SummaryStats"]:
     """Execute every (grid point, trial) work item and aggregate statistics.
 
-    Records stream in (grid, trial) order, as they arrive, to a temporary
-    file next to ``spec.output`` (CSV) that replaces it once every trial has
-    run and is removed if one fails; the summary goes to ``spec.summary``
-    (JSON).  Both must name a file in an existing directory, which is
+    Once the last trial has run, the records go in (grid, trial) order to
+    ``spec.output`` (CSV) and the summary to ``spec.summary`` (JSON), each
+    in one write through the path as given, so a symlink or a FIFO is
+    written through.  A trial that raises leaves both outputs untouched; a
+    write that itself fails, on a full disk say, can leave one truncated.
+    Both must name a writable file in an existing directory, which is
     checked before the first trial.  Output bytes are invariant to the
     worker count.  ``workers`` overrides ``spec.workers`` under the same
     rule.  At most one process per CPU this process may run on, and per
@@ -380,35 +376,26 @@ def run_experiment(
         cpus = os.cpu_count() or 1
     count = min(spec.workers or cpus, cpus, len(tasks))
 
-    records: list[TrialRecord] = []
-    with ExitStack() as stack:
-        out = None
-        if spec.output:
-            staged = Path(f"{spec.output}.tmp")
-            out = stack.enter_context(staged.open("w", encoding="utf-8", newline="\n"))
-            stack.callback(staged.unlink, missing_ok=True)  # a no-op once renamed
-            out.write(CSV_SCHEMA_LINE + "\n")
-            out.write(",".join(CSV_COLUMNS) + "\n")
-        run = partial(_run_trial, spec)
-        if count <= 1:
-            produced: Iterable[TrialRecord] = map(run, tasks)
-        else:
-            stack.push(_drop_pool_on_error)
-            chunksize = max(1, len(tasks) // (count * 8))
+    run = partial(_run_trial, spec)
+    if count <= 1:
+        records = list(map(run, tasks))
+    else:
+        chunksize = max(1, len(tasks) // (count * 8))
+        try:
             try:
                 produced = _worker_pool(count).map(run, tasks, chunksize=chunksize)
             except BrokenProcessPool:  # a worker died while the pool sat idle
                 _drop_pool()
                 produced = _worker_pool(count).map(run, tasks, chunksize=chunksize)
-        for record in produced:
-            records.append(record)
-            if out is not None:
-                out.write(record_to_csv_row(record) + "\n")
-        if out is not None:
-            out.close()
-            os.replace(staged, spec.output)
+            records = list(produced)
+        except BaseException:  # a pass that raised may leave the pool broken or busy
+            _drop_pool()
+            raise
 
     stats = summarize(records, name=spec.name)
+    if spec.output:
+        rows = [CSV_SCHEMA_LINE, ",".join(CSV_COLUMNS), *map(record_to_csv_row, records)]
+        Path(spec.output).write_text("\n".join(rows) + "\n", encoding="utf-8", newline="\n")
     if spec.summary:
         write_summary(stats, spec.summary)
     return records, stats

@@ -13,6 +13,7 @@ tokens, each ``+1`` or ``-1``.
 from __future__ import annotations
 
 import io
+import os
 from pathlib import Path
 from typing import Union
 
@@ -81,7 +82,8 @@ def parse_matrix(text: str) -> RepresentationMatrix:
 
 def check_destination(role: str, path: str) -> None:
     """An InputError naming ``path`` unless it can be written as a file: it is
-    not empty, its directory exists and it is not a directory itself."""
+    not empty, its directory exists, it is not a directory itself, and it
+    (or, if it does not exist yet, its directory) is writable."""
     if not path:
         raise InputError(f"{role} must name a file, got ''")
     target = Path(path)
@@ -89,6 +91,8 @@ def check_destination(role: str, path: str) -> None:
         raise InputError(f"the directory of {role} {path!r} does not exist")
     if target.is_dir():
         raise InputError(f"{role} {path!r} is a directory")
+    if not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise InputError(f"{role} {path!r} is not writable")
 
 
 def write_matrix(R: RepresentationMatrix, path: PathLike) -> None:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -262,7 +263,9 @@ def test_experiment_refuses_one_file_for_csv_and_summary(tmp_path, capsys):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["spec.json"]
 
 
-def test_experiment_refuses_a_summary_it_cannot_write_before_any_trial(tmp_path, capsys):
+def test_experiment_refuses_a_summary_it_cannot_write_before_any_trial(
+    tmp_path, monkeypatch, capsys
+):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"regime": "c-sweep", "n": 100, "c": 1.0, "trials": 200}))
     summary = str(tmp_path / "nodir" / "summary.json")
@@ -276,8 +279,17 @@ def test_experiment_refuses_a_summary_it_cannot_write_before_any_trial(tmp_path,
     assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv"),
                  "--summary", str(adir)]) == 1
     assert capsys.readouterr().err == f"error: summary {str(adir)!r} is a directory\n"
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["adir", "spec.json"]
-    assert list(adir.iterdir()) == []
+    # Tests run as root, who may write anywhere, so the access check itself
+    # is what refuses the directory here.
+    readonly = tmp_path / "readonly"
+    readonly.mkdir()
+    monkeypatch.setattr(cli.textio.os, "access", lambda path, mode: Path(path) != readonly)
+    summary = str(readonly / "summary.json")
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(tmp_path / "out.csv"),
+                 "--summary", summary]) == 1
+    assert capsys.readouterr().err == f"error: summary {summary!r} is not writable\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["adir", "readonly", "spec.json"]
+    assert list(adir.iterdir()) == list(readonly.iterdir()) == []
 
 
 def test_experiment_refuses_an_empty_path(tmp_path, capsys):

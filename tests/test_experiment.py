@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import re
 import signal
+import stat
 import subprocess
 import sys
 import time
@@ -261,13 +262,64 @@ def test_failed_run_leaves_the_old_csv(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [out]
 
 
+def test_nothing_is_written_beside_the_output_while_trials_run(tmp_path, monkeypatch):
+    out = tmp_path / "r.csv"
+    out.write_text("an earlier run\n")
+    draw = experiment.sample_matrix
+    calls = []
+
+    def draw_with_the_directory_untouched(params, seed):
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "an earlier run\n"
+        calls.append(seed)
+        return draw(params, seed)
+
+    monkeypatch.setattr(experiment, "sample_matrix", draw_with_the_directory_untouched)
+    run_experiment(make_spec(trials=3, output=str(out)), workers=1)
+    assert len(calls) == 3
+    assert out.read_text().startswith("# wrig-lab schema 1\n")
+
+
+def test_a_symlinked_output_is_written_through(tmp_path):
+    plain = tmp_path / "plain.csv"
+    run_experiment(make_spec(output=str(plain)), workers=1)
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    real.write_text("")
+    link.symlink_to(real)
+    summary = tmp_path / "summary.json"
+    run_experiment(make_spec(output=str(link), summary=str(summary)), workers=1)
+    assert link.is_symlink()
+    assert real.read_bytes() == plain.read_bytes()
+    assert json.loads(summary.read_text())["name"] == "unit"
+
+
+def test_a_fifo_output_is_written_through(tmp_path):
+    spec = make_spec(trials=1, algorithms=["random"])
+    plain = tmp_path / "plain.csv"
+    run_experiment(replace(spec, output=str(plain)), workers=1)
+    expected = plain.read_bytes()
+    assert len(expected) < 1024  # fits any pipe buffer, so the write cannot block
+    fifo = tmp_path / "out.csv"
+    os.mkfifo(fifo)
+    # A reader open before the run lets the writer's open return at once.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        run_experiment(replace(spec, output=str(fifo)), workers=1)
+        written = os.read(reader, 4096)
+    finally:
+        os.close(reader)
+    assert written == expected
+    assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+
+
 @pytest.mark.parametrize(
     "where, message",
     [
         ("nodir/out.csv", "the directory of output {!r} does not exist"),
         ("adir", "output {!r} is a directory"),
+        ("out.csv", "output {!r} is not writable"),
     ],
-    ids=["without_dir", "is_dir"],
+    ids=["without_dir", "is_dir", "not_writable"],
 )
 def test_run_refuses_an_output_it_cannot_write_before_any_trial(
     tmp_path, monkeypatch, where, message
@@ -279,6 +331,9 @@ def test_run_refuses_an_output_it_cannot_write_before_any_trial(
         raise AssertionError("a trial ran")
 
     monkeypatch.setattr(experiment, "_run_trial", no_trial)
+    # Tests run as root, who may write anywhere, so no path is writable here;
+    # the other cases are refused by rules checked before this one.
+    monkeypatch.setattr(experiment.textio.os, "access", lambda path, mode: False)
     with pytest.raises(InputError) as raised:
         run_experiment(make_spec(output=output), workers=1)
     assert str(raised.value) == message.format(output)
