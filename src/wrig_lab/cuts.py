@@ -5,11 +5,17 @@ The two oracles share one meet-in-the-middle enumeration of the 2^(n-1)
 bipartitions with x_0 fixed to +1 (negating a coloring never changes a cut
 weight or a discrepancy), which stops once a coloring reaches the parity
 floor no coloring can beat, and are capped at a vertex count where a desk
-run still finishes in seconds.
+run still finishes in seconds.  They score on float64 BLAS products of
+small integers, exact below 2^53.  On a shared 2-vCPU host a call took
+0.13 ms (max-cut) and 0.14 ms (min-discrepancy) at n = m = 16, p = 0.2,
+against 0.55 and 0.38 ms on int64 products, and 59 and 34 ms at
+n = m = 24, p = 0.3, against 194 and 112 ms.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,15 +27,23 @@ from .sampling import Seed, derive_rng
 
 BRUTE_FORCE_CAP = 24
 
-# Scores the oracles evaluate per block.  Max-cut's temporaries hold a few
-# int64 per score and min-discrepancy's two buffers one byte each, so a
-# block stays under a quarter MiB.  Smaller blocks stop sooner once the
-# parity floor is reached but pay numpy's per-call cost more often (min-
-# discrepancy makes three calls per label and block); larger ones slow
-# max-cut.  Per call over 200 matrices at n = m = 16, p = 0.2 on 2 CPUs,
-# median of 7: 2^11 took 0.34 ms (max-cut) and 0.49 ms (min-discrepancy),
-# 2^13 0.32 and 0.26 ms, 2^15 0.55 and 0.27 ms.
-_BLOCK_SCORES = 1 << 13
+# Bytes the oracles' two half tables may hold: A's 2^(ceil(n/2)-1) and B's
+# 2^floor(n/2) rows of m float64 row sums, about 48 KiB per label at n = 24.
+# The dense m-by-n matrix they are built from is no larger.
+ORACLE_TABLE_BYTES = 1 << 28
+
+# Score x label cells the oracles evaluate per block.  A score counts m + 2
+# cells, the inner dimension of max-cut's GEMM, so each GEMM stays at
+# 2^17 multiply-adds (or one score's), below the 2^18 up to which OpenBLAS
+# runs a dgemm on one thread, and pool workers do not oversubscribe the
+# CPUs; min-discrepancy's int8 temporary holds fewer bytes.  Smaller blocks
+# stop sooner once the parity floor is reached but pay numpy's per-call
+# cost more often.  Per call (max-cut, min-discrepancy) on 2 CPUs, median of 11
+# alternating passes over 200 matrices at n = m = 16, p = 0.2: 2^15 took
+# 0.19 and 0.18 ms, 2^16 0.17 and 0.14, 2^17 0.16 and 0.14, 2^18 0.16 and
+# 0.15.  At n = m = 24, p = 0.3 (8 matrices, median of 3): 2^16 took 79
+# and 78 ms, 2^17 76 and 45, 2^18 101 and 40.
+_BLOCK_CELLS = 1 << 17
 
 
 CUT_ALGORITHMS = ("random", "majority", "exact", "mindisc")
@@ -235,50 +249,87 @@ def _coloring_from_mask(mask: int, n: int) -> Coloring:
     return Coloring(2 * bits - 1)
 
 
-def _half_row_sums(D: np.ndarray) -> np.ndarray:
-    """Row sums D x for every coloring x of D's columns, one row per mask."""
-    k = D.shape[1]
+def check_oracle_input(n: int, m: int) -> None:
+    """InputError naming n and m unless the exact oracles can take them:
+    n at most ``BRUTE_FORCE_CAP`` and the half tables within
+    ``ORACLE_TABLE_BYTES``."""
+    if n > BRUTE_FORCE_CAP:
+        raise InputError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
+    h = (n + 1) // 2
+    table_bytes = 8 * m * ((1 << (h - 1)) + (1 << (n - h)))
+    if table_bytes > ORACLE_TABLE_BYTES:
+        raise InputError(
+            f"n={n}, m={m} needs {table_bytes} bytes of oracle tables, "
+            f"over the bound {ORACLE_TABLE_BYTES}"
+        )
+
+
+@functools.cache
+def _sign_table(k: int) -> np.ndarray:
+    """Every coloring of k vertices as a read-only float64 row, in mask order."""
     bits = (np.arange(1 << k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return (2 * bits - 1) @ D.T
+    table = 2.0 * bits - 1.0
+    table.flags.writeable = False
+    return table
+
+
+def _half_row_sums(D: np.ndarray) -> np.ndarray:
+    """Row sums D x for every coloring x of D's columns, one row per mask,
+    in GEMMs of at most ``_BLOCK_CELLS`` multiply-adds each."""
+    table = _sign_table(D.shape[1])
+    sums = np.empty((len(table), len(D)))
+    step = max(1, _BLOCK_CELLS // max(D.size, 1))
+    for start in range(0, len(table), step):
+        np.matmul(table[start : start + step], D.T, out=sums[start : start + step])
+    return sums
 
 
 def _argmin_over_colorings(
     R: RepresentationMatrix,
-    scorer: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    scorer: Callable[[np.ndarray, np.ndarray], Callable[[slice, slice], np.ndarray]],
     floor: int,
 ) -> tuple[int, Coloring]:
     """Smallest score over all colorings with x_0 = +1 (meet in the middle).
 
     The first ceil(n/2) vertices give the row-sum vectors A (x_0 = +1), the
     rest give B, so every coloring's Rx is a + b for one row a of A and one
-    row b of B.  ``scorer(B)`` returns a function mapping a block of A's
-    rows to their (len(block), len(B)) scores against all of B, so work
-    that depends on B alone is done once.  Row-major flat index
-    i*len(B) + j is the coloring's mask minus 2^(n-1), so argmin within a
-    block and a strict < across blocks return the lexicographically
-    smallest optimum.  Row sums and scores are exact integers.
+    row b of B.  ``scorer(A, B)`` returns a function mapping a slice of A's
+    rows and one of B's to their (rows, cols) scores, so work that depends
+    on A or B alone is done once.  A block is some rows of A against all of
+    B, or one row against part of B when that row alone exceeds
+    ``_BLOCK_CELLS``; either way blocks run in order of the row-major flat
+    index i*len(B) + j, which is the coloring's mask minus 2^(n-1).  So argmin within a block and a
+    strict < across blocks return the lexicographically smallest optimum.
 
     ``floor`` is a lower bound on every score.  Blocks run in increasing
     mask order and only a strictly smaller score replaces the best, so once
     the best reaches the floor no later block can replace it: the loop
     stops there and returns the same optimum as the full walk.
     """
-    n = R.n
-    if n > BRUTE_FORCE_CAP:
-        raise InputError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
-    D = np.zeros((R.m, n), dtype=np.int64)
-    D[np.repeat(np.arange(R.m), R.sizes), R.indices] = 1
+    n, m = R.n, R.m
+    check_oracle_input(n, m)
+    # Row sums and scores are float64 for BLAS, and exact: every entry of
+    # A and B is an integer with |.| <= 12 (n <= 24) and |a_l| + |b_l| <=
+    # |S_l| <= 24, so every partial sum of a score, in any order and with
+    # max-cut's norm terms, is an integer of size <= 24^2 = 576 per label
+    # and stays below 2^53 while m < 2^43.  The table bound keeps m below
+    # 2^25.
+    D = np.zeros((m, n))
+    D[np.repeat(np.arange(m), R.sizes), R.indices] = 1
     h = (n + 1) // 2
-    A = D[:, 0] + _half_row_sums(D[:, 1:h])
+    A = _half_row_sums(D[:, 1:h])
+    A += D[:, 0]
     B = _half_row_sums(D[:, h:])
-    score = scorer(B)
-    rows = max(1, _BLOCK_SCORES // len(B))
+    score = scorer(A, B)
+    per_score = m + 2
+    cols = min(len(B), max(1, _BLOCK_CELLS // per_score))
+    rows = max(1, _BLOCK_CELLS // (cols * per_score))
     best, best_index = None, 0
-    for start in range(0, len(A), rows):
-        scores = score(A[start : start + rows])
-        i = int(scores.argmin())
-        if best is None or scores.flat[i] < best:
-            best, best_index = int(scores.flat[i]), start * len(B) + i
+    for start, first in itertools.product(range(0, len(A), rows), range(0, len(B), cols)):
+        scores = score(slice(start, start + rows), slice(first, first + cols))
+        i, j = divmod(int(scores.argmin()), scores.shape[1])
+        if best is None or scores[i, j] < best:
+            best, best_index = int(scores[i, j]), (start + i) * len(B) + first + j
             if best <= floor:
                 break
     return best, _coloring_from_mask(best_index + (1 << (n - 1)), n)
@@ -298,9 +349,11 @@ def brute_force_max_cut(R: RepresentationMatrix) -> CutResult:
     odd-sized labels, the parity floor.
     """
 
-    def norm_sq(B: np.ndarray):
-        b_sq = (B * B).sum(axis=1)
-        return lambda a: (a * a).sum(axis=1)[:, None] + b_sq + 2 * (a @ B.T)
+    def norm_sq(A: np.ndarray, B: np.ndarray):
+        # One GEMM per block: [a, |a|^2, 1] . [2b, 1, |b|^2].
+        A_ext = np.hstack([A, (A * A).sum(axis=1, keepdims=True), np.ones((len(A), 1))])
+        B_ext = np.hstack([2 * B, np.ones((len(B), 1)), (B * B).sum(axis=1, keepdims=True)]).T
+        return lambda rows, cols: A_ext[rows] @ B_ext[:, cols]
 
     best_norm, coloring = _argmin_over_colorings(R, norm_sq, _odd_labels(R))
     quad = R.entry_sum() - best_norm
@@ -315,24 +368,18 @@ def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]
     returned.  The search stops early once the discrepancy reaches 1 when
     some label has odd size, or 0 when none has, the parity floor.
     """
-    # |a_l|, |b_l| and |a_l + b_l| are at most |S_l| <= n, so label sums,
-    # their absolute values and their running maximum are exact in the
-    # narrowest signed dtype that holds -n-1..n (int8 up to n = 127).
-    dtype = np.min_scalar_type(-R.n - 1)
 
-    def disc(B: np.ndarray):
-        B_labels = np.ascontiguousarray(B.T, dtype=dtype)
+    def disc(A: np.ndarray, B: np.ndarray):
+        # |a_l + b_l| <= |S_l| <= n <= 24, so label sums fit int8.  A block
+        # is one (m, rows, len(B)) temporary, reduced over labels; the
+        # initial 0 scores every coloring 0 when m = 0.
+        A_labels = A.T.astype(np.int8, order="C")[:, :, None]
+        B_labels = B.T.astype(np.int8, order="C")[:, None, :]
 
-        def score(a: np.ndarray) -> np.ndarray:
-            # One label at a time into two block-sized buffers, instead of a
-            # (block, len(B), m) temporary reduced over its short last axis.
-            worst = np.zeros((len(a), len(B)), dtype=dtype)
-            sums = np.empty_like(worst)
-            for a_l, b_l in zip(a.T.astype(dtype), B_labels):
-                np.add(a_l[:, None], b_l, out=sums)
-                np.abs(sums, out=sums)
-                np.maximum(worst, sums, out=worst)
-            return worst
+        def score(rows: slice, cols: slice) -> np.ndarray:
+            sums = A_labels[:, rows] + B_labels[:, :, cols]
+            np.abs(sums, out=sums)
+            return sums.max(axis=0, initial=0)
 
         return score
 

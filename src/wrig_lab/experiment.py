@@ -112,6 +112,10 @@ class ExperimentSpec:
             raise InputError(f"workers must be >= 0, got {self.workers}")
         if self.max_rematch is not None and self.max_rematch < 0:
             raise InputError(f"max_rematch must be >= 0, got {self.max_rematch}")
+        if {"exact", "mindisc"} & set(self.algorithms):
+            for point in self.grid:
+                if point.n <= cuts.BRUTE_FORCE_CAP:  # wider points skip the oracles
+                    cuts.check_oracle_input(point.n, point.m)
 
     @classmethod
     def from_dict(cls, raw: Mapping) -> "ExperimentSpec":

@@ -72,6 +72,19 @@ def test_solve_exact_above_the_cap_exits_one(tmp_path, capsys):
         assert capsys.readouterr().err == "error: n=25 exceeds the brute-force cap 24\n"
 
 
+def test_solve_exact_over_the_table_bound_exits_one(tmp_path, capsys):
+    # (2^11 + 2^12) float64 per label at n = 24: 5462 labels pass the bound.
+    m = cuts.ORACLE_TABLE_BYTES // ((2**11 + 2**12) * 8) + 1
+    path = tmp_path / "many.wrig"
+    write_matrix(RepresentationMatrix.from_label_sets(24, [[0, 1]] * m), path)
+    for algo in ("exact", "mindisc"):
+        assert main(["solve", "--algo", algo, "--in", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: n=24, m={m} needs {m * 49152} bytes of oracle tables, "
+            f"over the bound {cuts.ORACLE_TABLE_BYTES}\n"
+        )
+
+
 def test_solve_json_and_coloring_file(matrix_file, tmp_path, capsys):
     coloring_path = tmp_path / "x.txt"
     assert main([

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,44 @@ def test_cap_enforced():
             oracle(OVER_CAP)
 
 
+def test_oracles_refuse_tables_over_the_bound_before_allocating_them():
+    # At n = 24 the half tables hold (2^11 + 2^12) float64 per label.
+    per_label = (2**11 + 2**12) * 8
+    fits = cuts.ORACLE_TABLE_BYTES // per_label
+    cuts.check_oracle_input(24, fits)
+    m = 1 << 16
+    R = RepresentationMatrix.from_csr(24, np.zeros(m + 1, dtype=np.int64), [])
+    message = (
+        f"n=24, m={m} needs {per_label * m} bytes of oracle tables, "
+        f"over the bound {cuts.ORACLE_TABLE_BYTES}"
+    )
+    for oracle in (brute_force_max_cut, brute_force_min_discrepancy):
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                oracle(R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the dense matrix alone would take 12 MiB
+    with pytest.raises(InputError, match=f"^n=24, m={fits + 1} needs "):
+        cuts.check_oracle_input(24, fits + 1)
+
+
+def test_oracles_at_the_cap_walk_every_coloring():
+    # One label on all 24 vertices, so half sums reach 12, the largest, and
+    # a weak triangle across both halves.  Every label is even, so both
+    # parity floors are 0, but some triangle pair is monochromatic under
+    # every coloring: |Rx|^2 >= 4 and the discrepancy is >= 2, and neither
+    # oracle stops early.  A balanced big label with two triangle pairs cut
+    # meets both bounds: the weight is (24^2 + 3 * 2^2 - 4) / 4 = 146.
+    R = RepresentationMatrix.from_label_sets(24, [range(24), [0, 12], [12, 23], [0, 23]])
+    result = brute_force_max_cut(R)
+    assert result.weight == 146 == cut_weight(R, result.coloring)
+    coloring, best_disc = brute_force_min_discrepancy(R)
+    assert best_disc == 2 == discrepancy(R, coloring)
+
+
 @st.composite
 def even_labels_with_weak_odd_cycle(draw, max_n: int = 14, max_m: int = 8):
     """Even-sized labels only, among them pair labels closing an odd cycle.
@@ -308,22 +347,30 @@ def even_labels_with_weak_odd_cycle(draw, max_n: int = 14, max_m: int = 8):
     return RepresentationMatrix.from_label_sets(n, draw(st.permutations(label_sets)))
 
 
-# The module's block size, and blocks of one row of A each, so that the
-# tie-break between optima in different blocks, and an optimum that reaches
-# the parity floor only in a later block, are exercised too.  Random
-# matrices mostly have odd labels and reach the floor; the even-label
-# matrices with a weak odd cycle never do.
+# The module's block size, and blocks of one score each, so that the
+# tie-break between optima in different blocks, within a row of A or
+# across rows, and an optimum that reaches the parity floor only in a later
+# block, are exercised too.  Random matrices mostly have odd labels and
+# reach the floor; the even-label matrices with a weak odd cycle never do.
+# Many labels at small n make one row of A outgrow the module's block too.
 @pytest.mark.parametrize(
-    "block_scores", [cuts._BLOCK_SCORES, 1], ids=["module_block", "one_row_blocks"]
+    "block_cells", [cuts._BLOCK_CELLS, 1], ids=["module_block", "one_score_blocks"]
 )
 @settings(deadline=None, max_examples=80)
-@given(R=st.one_of(matrices(max_n=14, max_m=8), even_labels_with_weak_odd_cycle()))
+@given(
+    R=st.one_of(
+        matrices(max_n=14, max_m=8),
+        matrices(max_n=10, max_m=40),
+        even_labels_with_weak_odd_cycle(),
+    )
+)
 @example(R=WEAK_TRIANGLE)
 @example(R=TRIANGLE)
-def test_brute_force_matches_enumeration_oracle(block_scores, R):
+@example(R=RepresentationMatrix.from_label_sets(5, []))
+def test_brute_force_matches_enumeration_oracle(block_cells, R):
     X, normsq, disc = enumeration_oracle(R)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cuts, "_BLOCK_SCORES", block_scores)
+        mp.setattr(cuts, "_BLOCK_CELLS", block_cells)
         result = brute_force_max_cut(R)
         coloring, best_disc = brute_force_min_discrepancy(R)
 

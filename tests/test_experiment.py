@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wrig_lab import experiment
+from wrig_lab import cuts, experiment
 from wrig_lab.core import InputError, RepresentationMatrix
 from wrig_lab.cuts import random_cut
 from wrig_lab.experiment import (
@@ -512,6 +512,16 @@ def test_exact_skipped_above_cap():
     assert records[0].mindisc_weight is None
     assert "exact" not in stats.grid[0].algorithms
     assert stats.grid[0].concentration_target == "random"
+
+
+def test_oracle_point_over_the_table_bound_is_refused():
+    m = cuts.ORACLE_TABLE_BYTES // ((2**11 + 2**12) * 8) + 1
+    # n = 30 is over the cap, so its oracles are skipped, not refused.
+    assert len(make_spec(n=[30, 23], m=m, algorithms=["mindisc"]).grid) == 2
+    assert len(make_spec(n=[24], m=m, algorithms=["random"]).grid) == 1
+    for algo in ("exact", "mindisc"):
+        with pytest.raises(InputError, match=f"^n=24, m={m} needs .* over the bound"):
+            make_spec(n=[30, 24], m=m, algorithms=["random", algo])
 
 
 def test_out_of_window_p_runs_without_a_warning():
