@@ -7,9 +7,10 @@ weight or a discrepancy), which stops once a coloring reaches the parity
 floor no coloring can beat, and are capped at a vertex count where a desk
 run still finishes in seconds.  They score on float64 BLAS products of
 small integers, exact below 2^53.  On a shared 2-vCPU host a call took
-0.13 ms (max-cut) and 0.14 ms (min-discrepancy) at n = m = 16, p = 0.2,
-against 0.55 and 0.38 ms on int64 products, and 59 and 34 ms at
-n = m = 24, p = 0.3, against 194 and 112 ms.
+0.12 ms (max-cut) and 0.10 ms (min-discrepancy) at n = m = 16, p = 0.2,
+against 0.33 and 0.23 ms on int64 products, and 61 and 36 ms at
+n = m = 24, p = 0.3, against 182 and 112 ms (medians of 5 and 3
+alternating runs over 200 and 8 matrices).
 """
 
 from __future__ import annotations
@@ -29,20 +30,22 @@ BRUTE_FORCE_CAP = 24
 
 # Bytes the oracles' two half tables may hold: A's 2^(ceil(n/2)-1) and B's
 # 2^floor(n/2) rows of m float64 row sums, about 48 KiB per label at n = 24.
-# The dense m-by-n matrix they are built from is no larger.
+# The dense m-by-n matrix they are built from is no larger, and min-
+# discrepancy's int8 copies of them are an eighth as large.
 ORACLE_TABLE_BYTES = 1 << 28
 
 # Score x label cells the oracles evaluate per block.  A score counts m + 2
-# cells, the inner dimension of max-cut's GEMM, so each GEMM stays at
-# 2^17 multiply-adds (or one score's), below the 2^18 up to which OpenBLAS
-# runs a dgemm on one thread, and pool workers do not oversubscribe the
-# CPUs; min-discrepancy's int8 temporary holds fewer bytes.  Smaller blocks
-# stop sooner once the parity floor is reached but pay numpy's per-call
-# cost more often.  Per call (max-cut, min-discrepancy) on 2 CPUs, median of 11
-# alternating passes over 200 matrices at n = m = 16, p = 0.2: 2^15 took
-# 0.19 and 0.18 ms, 2^16 0.17 and 0.14, 2^17 0.16 and 0.14, 2^18 0.16 and
-# 0.15.  At n = m = 24, p = 0.3 (8 matrices, median of 3): 2^16 took 79
-# and 78 ms, 2^17 76 and 45, 2^18 101 and 40.
+# cells, the m of max-cut's GEMM and two for its norm terms, so each GEMM
+# stays under 2^17 multiply-adds (or one score's), below the 2^18 up to
+# which OpenBLAS runs a dgemm on one thread, and pool workers do not
+# oversubscribe the CPUs; min-discrepancy's int8 temporary holds fewer
+# bytes.  Smaller blocks stop sooner once the parity floor is reached but
+# pay numpy's per-call cost more often.  Per call (max-cut,
+# min-discrepancy) on 2 CPUs, median of 11 alternating passes over 200
+# matrices at n = m = 16, p = 0.2: 2^15 took 0.22 and 0.20 ms, 2^16 0.18
+# and 0.16, 2^17 0.16 and 0.15, 2^18 0.17 and 0.16.  At n = m = 24,
+# p = 0.3 (8 matrices, median of 3): 2^16 took 94 and 73 ms, 2^17 76 and
+# 42, 2^18 99 and 32.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -253,6 +256,7 @@ def check_oracle_input(n: int, m: int) -> None:
     """InputError naming n and m unless the exact oracles can take them:
     n at most ``BRUTE_FORCE_CAP`` and the half tables within
     ``ORACLE_TABLE_BYTES``."""
+    n, m = int(n), int(m)
     if n > BRUTE_FORCE_CAP:
         raise InputError(f"n={n} exceeds the brute-force cap {BRUTE_FORCE_CAP}")
     h = (n + 1) // 2
@@ -295,11 +299,13 @@ def _argmin_over_colorings(
     rest give B, so every coloring's Rx is a + b for one row a of A and one
     row b of B.  ``scorer(A, B)`` returns a function mapping a slice of A's
     rows and one of B's to their (rows, cols) scores, so work that depends
-    on A or B alone is done once.  A block is some rows of A against all of
-    B, or one row against part of B when that row alone exceeds
-    ``_BLOCK_CELLS``; either way blocks run in order of the row-major flat
-    index i*len(B) + j, which is the coloring's mask minus 2^(n-1).  So argmin within a block and a
-    strict < across blocks return the lexicographically smallest optimum.
+    on A or B alone is done once; it may overwrite A and B, which are not
+    read again here.  A block is some rows of A against all of B, or one
+    row against part of B when that row alone exceeds ``_BLOCK_CELLS``;
+    either way blocks run in order of the row-major flat index
+    i*len(B) + j, which is the coloring's mask minus 2^(n-1).  So argmin
+    within a block and a strict < across blocks return the
+    lexicographically smallest optimum.
 
     ``floor`` is a lower bound on every score.  Blocks run in increasing
     mask order and only a strictly smaller score replaces the best, so once
@@ -311,9 +317,9 @@ def _argmin_over_colorings(
     # Row sums and scores are float64 for BLAS, and exact: every entry of
     # A and B is an integer with |.| <= 12 (n <= 24) and |a_l| + |b_l| <=
     # |S_l| <= 24, so every partial sum of a score, in any order and with
-    # max-cut's norm terms, is an integer of size <= 24^2 = 576 per label
-    # and stays below 2^53 while m < 2^43.  The table bound keeps m below
-    # 2^25.
+    # max-cut's doubled B and norm terms, is an integer of size <= 24^2 =
+    # 576 per label and stays below 2^53 while m < 2^43.  The table bound
+    # keeps m below 2^25.
     D = np.zeros((m, n))
     D[np.repeat(np.arange(m), R.sizes), R.indices] = 1
     h = (n + 1) // 2
@@ -350,10 +356,17 @@ def brute_force_max_cut(R: RepresentationMatrix) -> CutResult:
     """
 
     def norm_sq(A: np.ndarray, B: np.ndarray):
-        # One GEMM per block: [a, |a|^2, 1] . [2b, 1, |b|^2].
-        A_ext = np.hstack([A, (A * A).sum(axis=1, keepdims=True), np.ones((len(A), 1))])
-        B_ext = np.hstack([2 * B, np.ones((len(B), 1)), (B * B).sum(axis=1, keepdims=True)]).T
-        return lambda rows, cols: A_ext[rows] @ B_ext[:, cols]
+        a_sq = np.einsum("ij,ij->i", A, A)[:, None]
+        b_sq = np.einsum("ij,ij->i", B, B)
+        B *= 2  # in place: a copy would double the tables
+
+        def score(rows: slice, cols: slice) -> np.ndarray:
+            scores = A[rows] @ B[cols].T
+            scores += a_sq[rows]
+            scores += b_sq[cols]
+            return scores
+
+        return score
 
     best_norm, coloring = _argmin_over_colorings(R, norm_sq, _odd_labels(R))
     quad = R.entry_sum() - best_norm
@@ -371,7 +384,7 @@ def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]
 
     def disc(A: np.ndarray, B: np.ndarray):
         # |a_l + b_l| <= |S_l| <= n <= 24, so label sums fit int8.  A block
-        # is one (m, rows, len(B)) temporary, reduced over labels; the
+        # is one (m, rows, cols) temporary, reduced over labels; the
         # initial 0 scores every coloring 0 when m = 0.
         A_labels = A.T.astype(np.int8, order="C")[:, :, None]
         B_labels = B.T.astype(np.int8, order="C")[:, None, :]
