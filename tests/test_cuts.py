@@ -352,7 +352,7 @@ def even_labels_with_weak_odd_cycle(draw, max_n: int = 14, max_m: int = 8):
 # across rows, and an optimum that reaches the parity floor only in a later
 # block, are exercised too.  Random matrices mostly have odd labels and
 # reach the floor; the even-label matrices with a weak odd cycle never do.
-# Many labels at small n make one row of A outgrow the module's block too.
+# Up to 40 labels at n <= 10 check scores summed over many labels.
 @pytest.mark.parametrize(
     "block_cells", [cuts._BLOCK_CELLS, 1], ids=["module_block", "one_score_blocks"]
 )
