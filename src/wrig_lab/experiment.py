@@ -319,6 +319,11 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
     )
 
 
+def _run_share(spec: ExperimentSpec, share: Sequence[tuple[int, int]]) -> list[TrialRecord]:
+    """Run a worker's share of the tasks in turn: one pool task per share."""
+    return [_run_trial(spec, task) for task in share]
+
+
 def _worker_pool(count: int) -> ProcessPoolExecutor:
     """The cached pool of ``count`` processes; one of another size is shut down."""
     global _pool
@@ -362,6 +367,12 @@ def run_experiment(
     replaced before the pass starts.  Workers keep the modules as they were
     when the pool started: code that patches module attributes must do so
     before the first pool call, or run with ``workers=1``.
+
+    A pool pass sends each of its ``count`` workers one share, every
+    ``count``-th task, so it costs one round trip per worker, not one per
+    trial.  The price: no share is rebalanced within a pass, so the pass
+    lasts as long as its slowest share, and a share's records come back
+    together, once all of them have run.
     """
     for role, path in (("output", spec.output), ("summary", spec.summary)):
         if path is not None:
@@ -380,18 +391,22 @@ def run_experiment(
         cpus = os.cpu_count() or 1
     count = min(spec.workers or cpus, cpus, len(tasks))
 
-    run = partial(_run_trial, spec)
+    run = partial(_run_share, spec)
     if count <= 1:
-        records = list(map(run, tasks))
+        records = run(tasks)
     else:
-        chunksize = max(1, len(tasks) // (count * 8))
+        # Strided, not contiguous: tasks are listed grid-major, so a stride
+        # gives every share the same mix of grid points, costly and cheap.
+        shares = [tasks[i::count] for i in range(count)]
+        records = [None] * len(tasks)
         try:
             try:
-                produced = _worker_pool(count).map(run, tasks, chunksize=chunksize)
+                produced = _worker_pool(count).map(run, shares)
             except BrokenProcessPool:  # a worker died while the pool sat idle
                 _drop_pool()
-                produced = _worker_pool(count).map(run, tasks, chunksize=chunksize)
-            records = list(produced)
+                produced = _worker_pool(count).map(run, shares)
+            for i, done in enumerate(produced):
+                records[i::count] = done
         except BaseException:  # a pass that raised may leave the pool broken or busy
             _drop_pool()
             raise

@@ -390,9 +390,11 @@ def fake_pools(monkeypatch):
         def __init__(self, max_workers):
             self.max_workers = max_workers
             self.shut = False
+            self.mapped = []
             pools.append(self)
 
-        def map(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks):
+            self.mapped.append(list(tasks))
             return map(fn, tasks)
 
         def shutdown(self, wait=True, cancel_futures=False):
@@ -414,6 +416,35 @@ def test_pool_is_bounded_by_cpus_and_trials(fake_pools, workers, trials, started
     assert [pool.max_workers for pool in fake_pools] == ([] if started is None else [started])
     serial, _ = run_experiment(spec, workers=1)
     assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
+
+
+# 3 grid points x 5 trials: 15 tasks, a multiple of neither 2 nor 4 workers,
+# so the strided shares differ in length.
+GRID_OF_15 = dict(n=[8, 10, 12], trials=5, algorithms=["random", "majority", "bipartize"])
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+def test_a_pool_pass_maps_one_strided_share_per_worker(fake_pools, workers):
+    run_experiment(make_spec(**GRID_OF_15), workers=workers)
+    tasks = [(grid_id, trial) for grid_id in range(3) for trial in range(5)]
+    (pool,) = fake_pools
+    assert pool.mapped == [[tasks[i::workers] for i in range(workers)]]  # one map, one share each
+
+
+def grid_bytes_at(tmp_path, workers: int) -> bytes:
+    out = tmp_path / f"workers_{workers}.csv"
+    run_experiment(make_spec(output=str(out), **GRID_OF_15), workers=workers)
+    return out.read_bytes()
+
+
+def test_two_strided_shares_reassemble_the_serial_bytes(tmp_path, monkeypatch):
+    allow_cpus(monkeypatch, 2)
+    assert grid_bytes_at(tmp_path, 2) == grid_bytes_at(tmp_path, 1)
+
+
+def test_four_strided_shares_reassemble_the_serial_bytes(tmp_path, fake_pools):
+    assert grid_bytes_at(tmp_path, 4) == grid_bytes_at(tmp_path, 1)
+    assert [pool.max_workers for pool in fake_pools] == [4]
 
 
 def test_one_allowed_cpu_runs_serially(fake_pools, monkeypatch):
@@ -630,8 +661,12 @@ def test_heuristic_csv_is_pinned(tmp_path, config, epsilon, digest):
 # sha256 of the CSV of all five algorithms, captured before the trial loop
 # and the CLI shared one dispatch: trials 0 and 100 are audited, and at
 # c = 2 some bipartize runs exhaust the re-match budget, so the empty
-# bipartize_weight/_disc cells are pinned too.
-def test_all_algorithms_csv_is_pinned(tmp_path):
+# bipartize_weight/_disc cells are pinned too.  Through a pool of 2 the
+# 240 tasks, oracles and budget-exhausting bipartize runs mixed, go out as
+# two strided shares and must come back to the same bytes.
+@pytest.mark.parametrize("workers", [1, 2])
+def test_all_algorithms_csv_is_pinned(tmp_path, monkeypatch, workers):
+    allow_cpus(monkeypatch, 2)
     out = tmp_path / "golden.csv"
     spec = ExperimentSpec.from_dict(
         {
@@ -646,7 +681,7 @@ def test_all_algorithms_csv_is_pinned(tmp_path):
             "output": str(out),
         }
     )
-    records, _ = run_experiment(spec, workers=1)
+    records, _ = run_experiment(spec, workers=workers)
     assert sum(r.bipartize_terminated is False for r in records) == 18
     assert (
         hashlib.sha256(out.read_bytes()).hexdigest()
