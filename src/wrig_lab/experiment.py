@@ -320,7 +320,7 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
 
 
 def _run_share(spec: ExperimentSpec, share: Sequence[tuple[int, int]]) -> list[TrialRecord]:
-    """Run a worker's share of the tasks in turn: one pool task per share."""
+    """The records of ``share``'s tasks, run in turn; a pool pass maps one share per worker."""
     return [_run_trial(spec, task) for task in share]
 
 
