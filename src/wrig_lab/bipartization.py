@@ -113,7 +113,7 @@ class BipartizationOutcome:
     zero_strong_cycles: tuple[VertexLabelSequence, ...]
     label_disjoint: bool
     coloring: Optional[Coloring]
-    codd_encounters: int = 0
+    codd_encounters: int
 
 
 def _skeleton(
@@ -192,8 +192,9 @@ def _two_color(adj: list[list[int]]) -> tuple[list[int], list[int]]:
     return signs, odd
 
 
-def _odd_cycle_through(adj: list[list[int]], s: int) -> Optional[list[int]]:
-    """Shortest odd closed walk from s, None if s is on no odd cycle.
+def _odd_cycle_through(adj: list[list[int]], s: int) -> list[int]:
+    """Shortest odd closed walk from s, which must lie on an odd cycle:
+    ``_shortest_odd_cycle`` calls it only for such a start.
 
     BFS over the double cover, level by level, where node 2v + parity is
     vertex v reached after a walk of that parity; the walk ends at node
@@ -220,7 +221,6 @@ def _odd_cycle_through(adj: list[list[int]], s: int) -> Optional[list[int]]:
                     return walk[::-1]
                 following.append(nxt)
         frontier = following
-    return None
 
 
 def _cycle_labels(

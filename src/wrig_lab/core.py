@@ -128,9 +128,6 @@ class RepresentationMatrix:
             and np.array_equal(self.indices, other.indices)
         )
 
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.indptr.tobytes(), self.indices.tobytes()))
-
     @property
     def sizes(self) -> np.ndarray:
         """Number of vertices per label."""
@@ -170,9 +167,6 @@ class Coloring:
         if not isinstance(other, Coloring):
             return NotImplemented
         return np.array_equal(self.values, other.values)
-
-    def __hash__(self) -> int:
-        return hash(self.values.tobytes())
 
 
 def _check_length(R: RepresentationMatrix, x: Coloring) -> None:

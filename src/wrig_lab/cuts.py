@@ -8,9 +8,8 @@ floor no coloring can beat, and are capped at a vertex count where a desk
 run still finishes in seconds.  They score on float64 BLAS products of
 small integers, exact below 2^53.  On a shared 2-vCPU host a call took
 0.12 ms (max-cut) and 0.10 ms (min-discrepancy) at n = m = 16, p = 0.2,
-against 0.33 and 0.23 ms on int64 products, and 61 and 36 ms at
-n = m = 24, p = 0.3, against 182 and 112 ms (medians of 5 and 3
-alternating runs over 200 and 8 matrices).
+and 61 and 36 ms at n = m = 24, p = 0.3 (medians of 5 and 3 runs over
+200 and 8 matrices).
 """
 
 from __future__ import annotations

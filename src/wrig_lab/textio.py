@@ -149,7 +149,3 @@ def _coloring_bytes(values: np.ndarray) -> bytes:
 
 def write_coloring(x: Coloring, path: PathLike) -> None:
     Path(path).write_text(format_coloring(x), encoding="utf-8", newline="\n")
-
-
-def read_coloring(path: PathLike) -> Coloring:
-    return parse_coloring(Path(path).read_text(encoding="utf-8"))

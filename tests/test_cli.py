@@ -8,7 +8,7 @@ from wrig_lab.bipartization import weak_bipartization
 from wrig_lab.cli import main
 from wrig_lab.core import RepresentationMatrix, cut_weight, discrepancy
 from wrig_lab.sampling import ModelParams, sample_matrix
-from wrig_lab.textio import format_matrix, read_coloring, read_matrix, write_matrix
+from wrig_lab.textio import format_matrix, parse_coloring, read_matrix, write_matrix
 
 STRONG_MIX = RepresentationMatrix.from_label_sets(4, [[0, 1, 3], [1, 2], [0, 2]])
 
@@ -95,7 +95,11 @@ def test_solve_json_and_coloring_file(matrix_file, tmp_path, capsys):
     assert payload == {
         "algorithm": "exact", "weight": 2, "discrepancy": 2, "n": 3, "m": 3, "seed": 0,
     }
-    assert len(read_coloring(coloring_path)) == 3
+    assert len(parse_coloring(coloring_path.read_text(encoding="utf-8"))) == 3
+    assert main(["solve", "--algo", "exact", "--in", str(matrix_file)]) == 0
+    assert capsys.readouterr().out == (
+        f"exact: weight={payload['weight']} discrepancy={payload['discrepancy']}\n"
+    )
 
 
 def test_solve_all_algorithms_run(matrix_file, capsys):
@@ -126,7 +130,7 @@ def test_solve_agrees_with_the_library(algo, tmp_path, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     coloring = LIBRARY_COLORINGS[algo](R)
-    assert read_coloring(coloring_path) == coloring
+    assert parse_coloring(coloring_path.read_text(encoding="utf-8")) == coloring
     assert payload["weight"] == cut_weight(R, coloring)
     assert payload["discrepancy"] == discrepancy(R, coloring)
 
@@ -160,6 +164,12 @@ def test_bipartize_json(matrix_file, capsys):
     [cycle] = payload["zero_strong_cycles"]
     assert cycle["vertices"] == [1, 2, 3]
     assert cycle["labels"] == [1, 2, 3]
+    assert main(["bipartize", "--in", str(matrix_file), "--seed", "3"]) == 0
+    assert capsys.readouterr().out == (
+        f"terminated={payload['terminated']} iterations={payload['iterations']} "
+        f"zero_strong={len(payload['zero_strong_cycles'])} "
+        f"cut_weight={payload['cut_weight']} discrepancy={payload['discrepancy']}\n"
+    )
 
 
 def test_bipartize_strict_exit_code(tmp_path, capsys):
@@ -385,6 +395,11 @@ def test_invalid_inputs_exit_one(matrix_file, tmp_path, capsys):
     assert main(["experiment", "--spec", str(spec)]) == 1
     assert main(["bipartize", "--in", str(matrix_file), "--max-rematch", "-7"]) == 1
     capsys.readouterr()
+    assert main(["count-sequences", "--expect", "--k", "3"]) == 1
+    assert capsys.readouterr().err == "error: --expect needs --n, --m and --p\n"
+    spec.write_text(json.dumps([{"n": 3, "m": 3, "p": 0.5}]))
+    assert main(["experiment", "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == "error: config file must hold a JSON object\n"
     # n*m >= 2^63 is bad input, named as such, not an int64 wrap-around
     bad.write_text("WRIG 1 12 1000000000000000000\n" + "".join(f"{l} 1 1\n" for l in range(1, 13)))
     assert main(["solve", "--algo", "random", "--in", str(bad)]) == 1

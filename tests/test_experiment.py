@@ -172,6 +172,7 @@ INVALID_SPECS = [
     ({"output": ""}, "output must name a file, got ''"),
     ({"summary": ""}, "summary must name a file, got ''"),
     ({"output": "", "summary": ""}, "output must name a file, got ''"),
+    ({"n": []}, "experiment grid is empty"),
 ]
 
 
@@ -745,6 +746,13 @@ def test_summarize_two_records_hand_arithmetic():
     assert vs.variance == 2.0
     assert vs.variance_defined
     assert vs.min == 4 and vs.max == 6
+    # At p = 0 every total_offdiag is 0: no CV and no normalized weight.
+    zero = summarize([replace(_record(0, trial=t, offdiag=0), p=0.0) for t in range(2)])
+    point = zero.grid[0]
+    assert (point.offdiag.mean, point.offdiag_cv) == (0.0, None)
+    algo = point.algorithms["random"]
+    assert (algo.normalized_mean, algo.normalized_cv) == (None, None)
+    assert point.concentration is None
 
 
 def test_summarize_rejects_empty():

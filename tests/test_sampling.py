@@ -171,6 +171,28 @@ def test_sparse_path_gives_valid_matrices_across_p():
                 assert RepresentationMatrix.from_csr(n, R.indptr, R.indices) == R
 
 
+def test_sparse_path_draws_continuation_batches():
+    # A first batch of gaps of 1 ends inside the 10^4-cell grid, so the
+    # sampler must draw further 256-gap batches until one runs past it.
+    params = ModelParams.fixed(100, 100, 0.01)
+    real = derive_rng(5)
+    drawn = []
+
+    class ShortFirstBatch:
+        def geometric(self, p, size):
+            gaps = real.geometric(p, size=size) if drawn else np.ones(size, dtype=np.int64)
+            drawn.append(gaps)
+            return gaps
+
+    R = _sample_sparse(params, ShortFirstBatch())
+    assert len(drawn) >= 2 and {len(gaps) for gaps in drawn[1:]} == {256}
+    cells = np.cumsum(np.concatenate(drawn)) - 1
+    cells = cells[cells < params.m * params.n]
+    assert R == RepresentationMatrix.from_label_sets(
+        params.n, [cells[cells // params.n == l] % params.n for l in range(params.m)]
+    )
+
+
 def test_model_params_validation():
     with pytest.raises(ValueError):
         ModelParams.fixed(0, 3, 0.5)
