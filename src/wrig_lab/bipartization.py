@@ -9,17 +9,21 @@ way; the detector instead sets one of their edges aside and keeps going.
 On termination the skeleton minus the set-aside edges is bipartite, and
 BFS-parity coloring of it balances every label set as well as possible.
 
-Every graph pass builds its graph with ``_skeleton`` (the pair -> labels
-table and sorted adjacency, of the matchings or of all pairs a label holds)
-and 2-colours it with the one BFS of ``_two_color``.  A shortest odd cycle
-comes from one walk of start-vertex bitsets over the odd components, which
-stops at the odd girth, and one double-cover BFS from the smallest start
-on such a cycle (``_shortest_odd_cycle``).
+A run builds its skeleton once with ``_skeleton`` (the pair -> labels table
+and sorted adjacency) and edits it in place: a re-match swaps one label's
+pairs, and a detection pass sets weak edges aside and puts them back before
+it returns.  Each search step 2-colours the skeleton with the one BFS of
+``_two_color``.  A shortest odd cycle comes from one walk of start-vertex
+bitsets over the 2-core of the odd components, which stops at the odd
+girth, and one double-cover BFS from the smallest start on such a cycle
+(``_shortest_odd_cycle``).  ``count_sequences_exact`` builds the same table
+of all pairs a label holds.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
@@ -31,6 +35,8 @@ from .sampling import Seed, derive_rng
 
 Pair = tuple[int, int]
 ExcludedEdge = tuple[int, int, int]  # (u, v, label) with u < v
+# The pair -> ascending labels table and each vertex's sorted neighbours.
+Skeleton = tuple[dict[Pair, list[int]], list[list[int]]]
 
 STRONG_MIN_SIZE = 3
 
@@ -53,9 +59,11 @@ def _strong_labels(R: RepresentationMatrix) -> list[bool]:
     return (R.sizes >= STRONG_MIN_SIZE).tolist()
 
 
-def _members(R: RepresentationMatrix, label: int) -> np.ndarray:
-    """The sorted vertices of ``label``: its slice of the CSR indices."""
-    return R.indices[R.indptr[label] : R.indptr[label + 1]]
+def _member_lists(R: RepresentationMatrix) -> list[list[int]]:
+    """Each label's sorted vertices as Python ints, from one ``tolist`` of
+    the CSR arrays."""
+    indices, bounds = R.indices.tolist(), R.indptr.tolist()
+    return [indices[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def random_maximal_matching(
@@ -64,11 +72,14 @@ def random_maximal_matching(
     """Uniform near-perfect matching of a clique: shuffle, pair consecutive.
 
     Yields floor(len/2) disjoint pairs; with fewer than two members the
-    matching is empty and no randomness is consumed.
+    matching is empty and no randomness is consumed.  ``members`` are
+    Python ints.  ``rng.shuffle`` of a list makes the same swaps from the
+    same draws as ``rng.permutation`` of an int64 array, without the array.
     """
     if len(members) < 2:
         return ()
-    shuffled = rng.permutation(np.asarray(members, dtype=np.int64)).tolist()
+    shuffled = list(members)
+    rng.shuffle(shuffled)
     pairs = []
     for i in range(0, len(shuffled) - 1, 2):
         u, v = shuffled[i], shuffled[i + 1]
@@ -116,9 +127,7 @@ class BipartizationOutcome:
     codd_encounters: int
 
 
-def _skeleton(
-    n: int, matchings: Sequence[Iterable[Pair]]
-) -> tuple[dict[Pair, list[int]], list[list[int]]]:
+def _skeleton(n: int, matchings: Sequence[Iterable[Pair]]) -> Skeleton:
     """Union of per-label pair lists (each pair u < v) as a simple graph:
     the labels of each pair in ascending order, and each vertex's sorted
     neighbours."""
@@ -135,22 +144,63 @@ def _skeleton(
     return pairs, adj
 
 
+def _add_label(skeleton: Skeleton, pair: Pair, label: int) -> None:
+    """Put ``label`` on ``pair`` as ``_skeleton`` would: label lists stay
+    ascending and neighbour lists sorted."""
+    pairs, adj = skeleton
+    labels = pairs.get(pair)
+    if labels is None:
+        pairs[pair] = [label]
+        u, v = pair
+        insort(adj[u], v)
+        insort(adj[v], u)
+    else:
+        insort(labels, label)
+
+
+def _drop_label(skeleton: Skeleton, pair: Pair, label: int) -> None:
+    """Take ``label`` off ``pair``, and the pair off the skeleton when no
+    label is left on it."""
+    pairs, adj = skeleton
+    labels = pairs[pair]
+    labels.remove(label)
+    if not labels:
+        del pairs[pair]
+        u, v = pair
+        adj[u].remove(v)
+        adj[v].remove(u)
+
+
 def _shortest_odd_cycle(adj: list[list[int]], odd: Sequence[int]) -> Optional[list[int]]:
     """Vertices of a minimum-length odd cycle, or None if ``odd`` is empty.
 
     ``odd`` lists the vertices of the non-bipartite components, as
-    ``_two_color(adj)`` gives them.  ``walks[v]`` is a bitset over them,
-    bit i set when a walk of the current length joins the i-th smallest
-    start to v; one step ORs each vertex's neighbours' bitsets.  A walk may
-    go back and forth along an edge, so the first odd length g at which
-    some start lies on a closed walk is the odd girth, and each start found
-    there lies on a shortest odd cycle.  Ties go to the smallest such
-    start, and its double-cover BFS gives the cycle.  A shortest odd cycle
-    is simple, so g is at most ``len(odd)``.  Each of the g steps costs
-    O((n' + e') n' / w) for the n' vertices and e' edges of the odd
-    components and machine words of w bits.
+    ``_two_color(adj)`` gives them.  Vertices of degree at most 1 are
+    peeled from it first, until its 2-core is left: a cycle runs through
+    none of them, and a walk into a pendant tree only adds even length.
+    ``walks[v]`` is a bitset over the core, bit i set when a walk of the
+    current length within it joins the i-th smallest start to v; one step
+    ORs each core vertex's neighbours' bitsets.  A walk may go back and
+    forth along an edge, so the first odd length g at which some start lies
+    on a closed walk is the odd girth, and each start found there lies on a
+    shortest odd cycle.  Ties go to the smallest such start, and its
+    double-cover BFS over all of ``adj`` gives the cycle.  A shortest odd
+    cycle is simple, so g is at most the core's size.  Each of the g steps
+    costs O((n' + e') n' / w) for the n' vertices and e' edges of the core
+    and machine words of w bits.
     """
-    starts = sorted(odd)
+    degree = [0] * len(adj)
+    for v in odd:
+        degree[v] = len(adj[v])
+    leaves = [v for v in odd if degree[v] == 1]
+    for v in leaves:  # grows while it is walked
+        degree[v] = 0
+        for w in adj[v]:
+            if degree[w] > 1:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    leaves.append(w)
+    starts = sorted(v for v in odd if degree[v])
     walks = [0] * len(adj)
     for i, s in enumerate(starts):
         walks[s] = 1 << i
@@ -236,14 +286,15 @@ def _cycle_labels(
 
 
 def find_codd_member(
-    R: RepresentationMatrix, matchings: Sequence[Sequence[Pair]]
+    R: RepresentationMatrix, skeleton: Skeleton
 ) -> tuple[
     Optional[VertexLabelSequence],
     list[VertexLabelSequence],
     set[ExcludedEdge],
     Optional[Coloring],
 ]:
-    """Search the skeleton of ``matchings`` for a repairable odd cycle.
+    """Search ``skeleton``, the ``_skeleton`` of the current matchings, for
+    a repairable odd cycle.
 
     Returns ``(member, zero_strong, excluded, coloring)``.  Each search
     step 2-colours the skeleton minus ``excluded``; once that graph is
@@ -251,7 +302,9 @@ def find_codd_member(
     Until then ``member`` is a shortest odd cycle with a strong label, and
     ``coloring`` is None.  Odd cycles made purely of weak labels go to
     ``zero_strong`` instead: one edge of each (the one with the smallest
-    label) moves to ``excluded`` and the search continues.
+    label) moves to ``excluded`` and the search continues.  The search
+    takes each excluded edge off ``skeleton`` and puts it back before it
+    returns, so the caller's skeleton ends as it was given.
 
     Minimality makes the returned cycle simple in its vertices, and a weak
     label can never repeat along it (each contributes a single edge).  A
@@ -259,32 +312,31 @@ def find_codd_member(
     shortest odd cycle; such a cycle is still returned as a repair member,
     since re-matching that label is the only available fix.
     """
-    pairs, adj = _skeleton(R.n, matchings)
+    pairs, adj = skeleton
     strong = _strong_labels(R)
     zero_strong: list[VertexLabelSequence] = []
     excluded: set[ExcludedEdge] = set()
-    while True:
-        signs, odd = _two_color(adj)
-        if not odd:
-            return None, zero_strong, excluded, Coloring(signs)
-        cycle = _shortest_odd_cycle(adj, odd)
-        labels = _cycle_labels(pairs, strong, cycle)
-        assert len(set(cycle)) == len(cycle), "detector returned repeated vertices"
-        # The walk's smallest start leads its cycle: canonical as found.
-        seq = VertexLabelSequence(tuple(cycle), tuple(labels), sum(strong[l] for l in labels))
-        if seq.strength > 0:
-            return seq, zero_strong, excluded, None
+    try:
+        while True:
+            signs, odd = _two_color(adj)
+            if not odd:
+                return None, zero_strong, excluded, Coloring(signs)
+            cycle = _shortest_odd_cycle(adj, odd)
+            labels = _cycle_labels(pairs, strong, cycle)
+            assert len(set(cycle)) == len(cycle), "detector returned repeated vertices"
+            # The walk's smallest start leads its cycle: canonical as found.
+            seq = VertexLabelSequence(tuple(cycle), tuple(labels), sum(strong[l] for l in labels))
+            if seq.strength > 0:
+                return seq, zero_strong, excluded, None
 
-        zero_strong.append(seq)
-        k = min(range(len(labels)), key=labels.__getitem__)
-        u, w = sorted((cycle[k], cycle[(k + 1) % len(cycle)]))
-        excluded.add((u, w, labels[k]))
-        pair_labels = pairs[(u, w)]
-        pair_labels.remove(labels[k])
-        if not pair_labels:
-            del pairs[(u, w)]
-            adj[u].remove(w)
-            adj[w].remove(u)
+            zero_strong.append(seq)
+            k = min(range(len(labels)), key=labels.__getitem__)
+            u, w = sorted((cycle[k], cycle[(k + 1) % len(cycle)]))
+            excluded.add((u, w, labels[k]))
+            _drop_label(skeleton, (u, w), labels[k])
+    finally:
+        for u, w, l in excluded:
+            _add_label(skeleton, (u, w), l)
 
 
 def weak_bipartization(
@@ -298,8 +350,10 @@ def weak_bipartization(
     of one strong label (the smallest in the found cycle) until no
     repairable odd cycle remains, or the re-match budget runs out, in which
     case the outcome reports ``terminated=False`` rather than raising.
-    Every detection pass starts from the whole skeleton, since a new
-    matching can change the cycle structure.
+    The skeleton is built once; a re-match takes the label off its old
+    pairs and puts it on its new ones, and every detection pass searches
+    the whole skeleton, since a new matching can change the cycle
+    structure.
     """
     if max_rematch is None:
         max_rematch = default_max_rematch(R.n)
@@ -307,20 +361,26 @@ def weak_bipartization(
         raise InputError(f"max_rematch must be >= 0, got {max_rematch}")
     rng = derive_rng(seed)
     strong = _strong_labels(R)
-    matchings = [random_maximal_matching(_members(R, l), rng) for l in range(R.m)]
+    members = _member_lists(R)
+    matchings = [random_maximal_matching(vertices, rng) for vertices in members]
+    skeleton = _skeleton(R.n, matchings)
     iterations = 0
     encountered: set[VertexLabelSequence] = set()
     while True:
         # Looked up at call time, so a wrapper at the module attribute sees
         # every pass.
-        member, zero_strong, excluded, coloring = find_codd_member(R, matchings)
+        member, zero_strong, excluded, coloring = find_codd_member(R, skeleton)
         if member is None:
             break
         encountered.add(member)
         if iterations >= max_rematch:
             break
         label = min(l for l in member.labels if strong[l])
-        matchings[label] = random_maximal_matching(_members(R, label), rng)
+        for pair in matchings[label]:
+            _drop_label(skeleton, pair, label)
+        matchings[label] = random_maximal_matching(members[label], rng)
+        for pair in matchings[label]:
+            _add_label(skeleton, pair, label)
         iterations += 1
     # A zero-strong cycle is simple and all its labels are weak, each covering
     # one pair, so no label repeats within one: a repeat lies on two cycles.
@@ -397,7 +457,7 @@ def count_sequences_exact(R: RepresentationMatrix, k: int) -> int:
     pair_entries = (R.entry_sum() - R.diagonal_sum()) // 2  # sum of C(|L_l|, 2)
     if R.n + pair_entries > SEQUENCE_WORK_BUDGET:
         raise InputError(over_budget)
-    pairs, adj = _skeleton(R.n, [combinations(_members(R, l).tolist(), 2) for l in range(R.m)])
+    pairs, adj = _skeleton(R.n, [combinations(vertices, 2) for vertices in _member_lists(R)])
     work = 0
 
     def closings(path: tuple[int, ...], used: tuple[int, ...]) -> int:

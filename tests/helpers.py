@@ -8,8 +8,9 @@ scores a cut by summing crossing edges instead of the norm identity, and
 the majority reference visits every vertex in plain Python, the odd-cycle
 reference runs its own double-cover BFS from every vertex of the whole
 graph, and the sequence count enumerates every vertex tuple and every label
-tuple, the coloring parser reads every text token by token, and the matrix
-formatter writes one label tuple at a time.
+tuple, the coloring parser reads every text token by token, the matrix
+formatter writes one label tuple at a time, and the matching reference
+shuffles through an int64 array with ``Generator.permutation``.
 """
 
 from __future__ import annotations
@@ -103,6 +104,19 @@ def majority_reference(R: RepresentationMatrix, epsilon: float, seed: Seed) -> t
         for l in vertex_sets[v]:
             label_sums[l] += xv
     return tuple(signs)
+
+
+def random_maximal_matching_reference(
+    members: list[int], rng: np.random.Generator
+) -> tuple[tuple[int, int], ...]:
+    """Random maximal matching by a permutation of an int64 array, the
+    draw ``wrig_lab.bipartization.random_maximal_matching`` must reproduce.
+    """
+    if len(members) < 2:
+        return ()
+    shuffled = rng.permutation(np.asarray(members, dtype=np.int64)).tolist()
+    pairs = [tuple(sorted(shuffled[i : i + 2])) for i in range(0, len(shuffled) - 1, 2)]
+    return tuple(sorted(pairs))
 
 
 def shortest_odd_cycle_reference(adj: list[list[int]]) -> Optional[list[int]]:

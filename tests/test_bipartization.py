@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import math
 from collections import Counter
@@ -14,14 +15,17 @@ from helpers import (
     matrices,
     oracle_max_cut_weight,
     oracle_min_discrepancy,
+    random_maximal_matching_reference,
     shortest_odd_cycle_reference,
     simple_graphs,
 )
+from wrig_lab import bipartization
 from wrig_lab.bipartization import (
     EXPECTED_MAX_K,
     SEQUENCE_WORK_BUDGET,
     STRONG_MIN_SIZE,
     _shortest_odd_cycle,
+    _skeleton,
     _two_color,
     count_sequences_exact,
     default_max_rematch,
@@ -83,6 +87,20 @@ def test_matching_pairs_are_disjoint_and_maximal(members, seed):
     assert set(used) <= set(members)
 
 
+def test_matching_draws_as_an_int64_permutation():
+    # The list shuffle must make the swaps, from the same draws, that a
+    # permutation of an int64 array made when every pinned run was taken;
+    # a numpy release that changes either path fails here.
+    for size in range(71):
+        for seed in range(30):
+            members = sorted(derive_rng(seed, size).choice(1000, size, replace=False).tolist())
+            ours, reference = derive_rng(seed, size, 1), derive_rng(seed, size, 1)
+            pairs = random_maximal_matching(members, ours)
+            assert pairs == random_maximal_matching_reference(members, reference)
+            assert all(type(v) is int for pair in pairs for v in pair)
+            assert ours.integers(2**62) == reference.integers(2**62)
+
+
 # --- detector ---
 
 
@@ -140,6 +158,25 @@ ODD_CYCLE_CASES = {
         _adjacency(75, _path(*range(67), 0) + _path(70, 71, 72, 73, 74, 70)),
         [70, 71, 72, 73, 74],
     ),
+    # The stick 0-4 is peeled, so triangle 1-2-3 numbers its starts alone.
+    "lollipop_stick_holds_smallest": (
+        _adjacency(5, _path(0, 4, 1, 2, 3, 1)),
+        [1, 2, 3],
+    ),
+    # The path 5-6 between the 5-cycle and the triangle keeps degree 2 and
+    # stays in the core with both cycles.
+    "odd_cycles_joined_by_a_path": (
+        _adjacency(10, _path(0, 1, 2, 3, 4, 0) + _path(4, 5, 6, 7, 8, 9, 7)),
+        [7, 8, 9],
+    ),
+    # A tree on 0..3 hangs off triangle 5-6-7; a 5-cycle on 10..14 loses.
+    "pendant_tree_on_the_winner": (
+        _adjacency(
+            15,
+            _path(5, 6, 7, 5) + _path(6, 1, 0) + _path(1, 2, 3) + _path(10, 11, 12, 13, 14, 10),
+        ),
+        [5, 6, 7],
+    ),
 }
 
 
@@ -159,7 +196,7 @@ def test_detector_cycles_lead_with_their_smallest_vertex():
             R = sample_matrix(ModelParams.from_c(100, c), derive_seed(6100, seed))
             rng = derive_rng(derive_seed(6200, seed))
             matchings = [random_maximal_matching(R.label_sets[l], rng) for l in range(R.m)]
-            member, zero_strong, _, _ = find_codd_member(R, matchings)
+            member, zero_strong, _, _ = find_codd_member(R, _skeleton(R.n, matchings))
             for seq in zero_strong + ([member] if member else []):
                 vs, k = seq.vertices, len(seq.vertices)
                 assert vs[0] == min(vs)
@@ -174,7 +211,7 @@ def test_detector_cycles_lead_with_their_smallest_vertex():
 
 def test_detector_records_weak_triangle_and_reports_absent():
     member, zero_strong, excluded, coloring = find_codd_member(
-        WEAK_TRIANGLE, [[(0, 1)], [(1, 2)], [(0, 2)]]
+        WEAK_TRIANGLE, _skeleton(WEAK_TRIANGLE.n, [[(0, 1)], [(1, 2)], [(0, 2)]])
     )
     assert member is None
     assert tuple(coloring.values) == (1, 1, -1)  # the path 0 - 2 - 1 left over
@@ -187,7 +224,7 @@ def test_detector_records_weak_triangle_and_reports_absent():
 
 def test_detector_returns_strong_cycle():
     member, zero_strong, excluded, coloring = find_codd_member(
-        STRONG_MIX, [[(0, 1)], [(1, 2)], [(0, 2)]]
+        STRONG_MIX, _skeleton(STRONG_MIX.n, [[(0, 1)], [(1, 2)], [(0, 2)]])
     )
     assert member is not None
     assert coloring is None
@@ -201,7 +238,7 @@ def test_detector_returns_strong_cycle():
 
 def test_detector_absent_on_bipartite_skeleton():
     member, zero_strong, excluded, coloring = find_codd_member(
-        STRONG_MIX, [[(0, 3)], [(1, 2)], [(0, 2)]]
+        STRONG_MIX, _skeleton(STRONG_MIX.n, [[(0, 3)], [(1, 2)], [(0, 2)]])
     )
     assert member is None
     assert tuple(coloring.values) == (1, 1, -1, -1)  # the path 3 - 0 - 2 - 1
@@ -213,7 +250,8 @@ def test_detector_handles_repeated_strong_label():
     # A dense strong label can contribute two matching edges to one shortest
     # odd cycle; the cycle is still a repair member (strength counts both).
     R = RepresentationMatrix.from_label_sets(5, [[0, 1, 2, 3], [1, 2], [3, 4], [0, 4]])
-    member, _, _, _ = find_codd_member(R, [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)], [(0, 4)]])
+    matchings = [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)], [(0, 4)]]
+    member, _, _, _ = find_codd_member(R, _skeleton(R.n, matchings))
     assert member.vertices == (0, 1, 2, 3, 4)
     assert member.labels == (0, 1, 0, 2, 3)
     assert member.strength == 2
@@ -233,7 +271,7 @@ def test_detector_flags_label_sharing():
         4, [[0, 1], [1, 2], [0, 2], [2, 3], [1, 3]]
     )
     member, zero_strong, excluded, _ = find_codd_member(
-        R, [[(0, 1)], [(1, 2)], [(0, 2)], [(2, 3)], [(1, 3)]]
+        R, _skeleton(R.n, [[(0, 1)], [(1, 2)], [(0, 2)], [(2, 3)], [(1, 3)]])
     )
     assert member is None
     assert [s.vertices for s in zero_strong] == [(0, 1, 2), (1, 2, 3)]
@@ -247,12 +285,49 @@ def test_detector_keeps_a_pair_another_label_covers():
     # leaves label 1's, so the triangle is found again and label 1 goes too.
     R = RepresentationMatrix.from_label_sets(3, [[0, 1], [0, 1], [1, 2], [0, 2]])
     member, zero_strong, excluded, _ = find_codd_member(
-        R, [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]]
+        R, _skeleton(R.n, [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]])
     )
     assert member is None
     assert [s.labels for s in zero_strong] == [(0, 2, 3), (1, 2, 3)]
     assert excluded == {(0, 1, 0), (0, 1, 1)}
     assert not weak_bipartization(R, seed=0).label_disjoint
+
+
+def test_rematches_keep_the_skeleton_a_rebuild_would_give(monkeypatch):
+    # The run edits one skeleton in place.  At every pass it must equal the
+    # skeleton rebuilt from the current matchings, which a replica of the
+    # run's stream re-draws, and the detector must hand it back as it got
+    # it, weak edges it set aside included.
+    detect = bipartization.find_codd_member
+    seen = Counter()
+    cases = [(ModelParams.fixed(20, 60, 0.1), 50, s) for s in range(60)]
+    cases += [(ModelParams.from_c(100, 2.0), 10, s) for s in range(20)]
+    for params, max_rematch, seed in cases:
+        R = sample_matrix(params, derive_seed(6300, seed))
+        replica = derive_rng(derive_seed(6400, seed))
+        matchings = [random_maximal_matching(L, replica) for L in R.label_sets]
+        last = []
+
+        def checked(R_, skeleton):
+            assert skeleton == _skeleton(R.n, matchings)
+            last[:] = matchings
+            before = copy.deepcopy(skeleton)
+            member, zero_strong, excluded, coloring = detect(R_, skeleton)
+            assert skeleton == before
+            pairs = skeleton[0]
+            seen["passes"] += 1
+            seen["excluded"] += len(excluded)
+            seen["shared_pair_excluded"] += any(len(pairs[(u, v)]) > 1 for u, v, _ in excluded)
+            if member is not None:
+                label = min(l for l in member.labels if R.sizes[l] >= STRONG_MIN_SIZE)
+                matchings[label] = random_maximal_matching(R.label_sets[label], replica)
+            return member, zero_strong, excluded, coloring
+
+        monkeypatch.setattr(bipartization, "find_codd_member", checked)
+        out = weak_bipartization(R, derive_seed(6400, seed), max_rematch=max_rematch)
+        assert out.matchings == tuple(last)
+    assert seen["shared_pair_excluded"] > 0, dict(seen)
+    assert seen["passes"] > 1000, dict(seen)
 
 
 # --- full runs ---
