@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import numbers
 import os
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+import traceback
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
+from multiprocessing.connection import Connection
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Union
 
@@ -50,9 +52,11 @@ CSV_SCHEMA_LINE = "# wrig-lab schema 1"
 # serialized coloring as a self-check (every 100th trial).
 AUDIT_EVERY = 100
 
-# (process count, pool) kept across run_experiment calls: starting a pool
-# costs about as much as a short pass.  Its workers exit at interpreter exit.
-_pool: Optional[tuple[int, ProcessPoolExecutor]] = None
+# (share count, its count - 1 workers) kept across run_experiment calls: a
+# pass runs share 0 in the calling process and sends each worker one other
+# share over its pipe.  Starting the workers costs about as much as a short
+# pass.  They exit at interpreter exit.
+_pool: Optional[tuple[int, list["_Worker"]]] = None
 
 
 @dataclass(frozen=True)
@@ -324,22 +328,105 @@ def _run_share(spec: ExperimentSpec, share: Sequence[tuple[int, int]]) -> list[T
     return [_run_trial(spec, task) for task in share]
 
 
-def _worker_pool(count: int) -> ProcessPoolExecutor:
-    """The cached pool of ``count`` processes; one of another size is shut down."""
+class _RemoteTraceback(Exception):
+    """A worker's traceback text, set as the cause of the exception it raised."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
+
+
+def _serve(conn: Connection, parent_ends: Sequence[Connection]) -> None:
+    """A worker's loop: reply to each ``(run, share)`` received with
+    ``(True, run(share))`` or ``(False, error, traceback text)``; return at EOF."""
+    for end in parent_ends:  # forked copies: the pipe reads EOF only once all are closed
+        end.close()
+    while True:
+        try:
+            run, share = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, run(share))
+        except BaseException as error:
+            text = traceback.format_exc()
+            try:
+                pickle.loads(pickle.dumps(error))
+            except Exception:  # a stand-in the parent can rebuild, rather than no reply
+                kind = f"{type(error).__module__}.{type(error).__qualname__}"
+                error = RuntimeError(f"{kind}: {error} (raised in a pool worker, not picklable)")
+            reply = (False, error, text)
+        try:
+            conn.send(reply)
+        except OSError:  # the pool was dropped
+            return
+
+
+class _Worker:
+    """One forked process that runs the shares sent over its own pipe (see ``_serve``).
+
+    ``parent_ends`` are the pipes of the workers started before it, which
+    the child must close.  ``send`` and ``recv`` run in the calling thread,
+    so no helper thread stands between the caller and the worker.
+    """
+
+    def __init__(self, parent_ends: Sequence[Connection]):
+        context = multiprocessing.get_context("fork")
+        self.conn, theirs = context.Pipe()
+        self.process = context.Process(
+            target=_serve, args=(theirs, [*parent_ends, self.conn]), daemon=True
+        )
+        self.process.start()
+        theirs.close()
+
+    def send(self, job) -> None:
+        self.conn.send(job)
+
+    def recv(self) -> list[TrialRecord]:
+        """The records of the share sent last, or its exception raised here."""
+        try:
+            reply = self.conn.recv()
+        except EOFError:
+            self.process.join(timeout=10)
+            raise RuntimeError(
+                f"pool worker {self.process.pid} exited with code "
+                f"{self.process.exitcode} in the middle of a pass"
+            ) from None
+        if reply[0]:
+            return reply[1]
+        _, error, text = reply
+        error.__cause__ = _RemoteTraceback(text)
+        raise error
+
+    def stop(self, *, wait: bool) -> None:
+        """Let the worker read EOF and wait for it, or, as it may be busy, end it now."""
+        if not wait:
+            self.process.terminate()
+        self.conn.close()
+        if wait:
+            self.process.join()
+
+
+def _worker_pool(count: int) -> list[_Worker]:
+    """The cached ``count - 1`` workers of a ``count``-share pool; a pool of another size is shut down."""
     global _pool
     if _pool is not None and _pool[0] != count:
-        _pool[1].shutdown()
+        for worker in _pool[1]:
+            worker.stop(wait=True)
         _pool = None
     if _pool is None:
-        _pool = (count, ProcessPoolExecutor(max_workers=count))
+        workers: list[_Worker] = []
+        for _ in range(count - 1):
+            workers.append(_Worker([worker.conn for worker in workers]))
+        _pool = (count, workers)
     return _pool[1]
 
 
 def _drop_pool() -> None:
-    """Shut the cached pool down without waiting: it may be broken or busy."""
+    """End the cached pool's workers without waiting: they may be busy or dead."""
     global _pool
     if _pool is not None:
-        _pool[1].shutdown(wait=False, cancel_futures=True)
+        for worker in _pool[1]:
+            worker.stop(wait=False)
         _pool = None
 
 
@@ -360,19 +447,25 @@ def run_experiment(
     trial, is started.  A grid point outside the studied window runs like
     any other, with no warning: ``ModelParams.regime_warning()`` names it.
 
-    The worker pool is started once and kept for later calls with the same
-    process count, which pays only where a process calls this more than
-    once; a serial call leaves it alone, a pool call that raises shuts it
-    down, and a pool found broken (a worker died while it sat idle) is
-    replaced before the pass starts.  Workers keep the modules as they were
-    when the pool started: code that patches module attributes must do so
-    before the first pool call, or run with ``workers=1``.
+    A pool of ``count`` shares is ``count - 1`` forked worker processes
+    plus the caller.  It is started once and kept for later calls with the
+    same count, which pays only where a process calls this more than once;
+    a serial call leaves it alone, a pool call that raises ends its
+    workers, and a worker found dead when a pass sends to it (it died while
+    the pool sat idle) gets the pass sent again to a fresh pool.  A worker
+    that dies during a pass fails the call with an error naming its exit
+    code; an exception raised in a worker is raised here, with the
+    worker's traceback as its cause.  Workers keep the modules as they were
+    when the pool started, while the caller's share runs under the
+    caller's module attributes: code that patches module attributes must
+    do so before the first pool call, or run with ``workers=1``.
 
-    A pool pass sends each of its ``count`` workers one share, every
-    ``count``-th task, so it costs one round trip per worker, not one per
-    trial.  The price: no share is rebalanced within a pass, so the pass
-    lasts as long as its slowest share, and a share's records come back
-    together, once all of them have run.
+    A pool pass splits the tasks into ``count`` shares, every ``count``-th
+    task, runs share 0 in the calling process and sends each worker one
+    other share over its pipe, so it costs one pipe round trip per worker,
+    not one per trial.  The price: no share is rebalanced within a pass, so
+    the pass lasts as long as its slowest share, and a share's records
+    come back together, once all of them have run.
     """
     for role, path in (("output", spec.output), ("summary", spec.summary)):
         if path is not None:
@@ -399,15 +492,23 @@ def run_experiment(
         # gives every share the same mix of grid points, costly and cheap.
         shares = [tasks[i::count] for i in range(count)]
         records = [None] * len(tasks)
+
+        def dispatch() -> list[_Worker]:
+            pool = _worker_pool(count)
+            for worker, share in zip(pool, shares[1:]):
+                worker.send((run, share))
+            return pool
+
         try:
             try:
-                produced = _worker_pool(count).map(run, shares)
-            except BrokenProcessPool:  # a worker died while the pool sat idle
+                pool = dispatch()
+            except BrokenPipeError:  # a worker died while the pool sat idle
                 _drop_pool()
-                produced = _worker_pool(count).map(run, shares)
-            for i, done in enumerate(produced):
-                records[i::count] = done
-        except BaseException:  # a pass that raised may leave the pool broken or busy
+                pool = dispatch()
+            records[0::count] = run(shares[0])
+            for i, worker in enumerate(pool, 1):
+                records[i::count] = worker.recv()
+        except BaseException:  # a pass that raised may leave workers busy or dead
             _drop_pool()
             raise
 

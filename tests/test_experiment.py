@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import re
 import signal
 import stat
@@ -11,8 +12,10 @@ import subprocess
 import sys
 import time
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -382,39 +385,61 @@ def allow_cpus(monkeypatch, count: int) -> None:
 
 @pytest.fixture
 def fake_pools(monkeypatch):
-    """Pools built on 4 CPUs, which map in-process, with no pool cached."""
-    # A fork pool starts all max_workers processes at the first submit, so the
-    # count asked for is the count started.
-    pools = []
+    """In-process workers on 4 CPUs, with no pool cached.
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            self.max_workers = max_workers
-            self.shut = False
-            self.mapped = []
-            pools.append(self)
+    ``pools`` lists the pools started, each a list of its workers; a worker
+    keeps the shares sent to it and how it was stopped (``stop``'s ``wait``).
+    ``here`` lists the shares the caller ran itself.  A worker runs its
+    share when it is asked for the records, passing the spec, the share and
+    the records through pickle, as the pipe does (``run`` itself wraps a
+    local function here, so only its arguments are pickled).
+    """
+    fakes = SimpleNamespace(pools=[], here=[])
+    run_share = experiment._run_share
 
-        def map(self, fn, tasks):
-            self.mapped.append(list(tasks))
-            return map(fn, tasks)
+    def run_share_here(spec, share):
+        fakes.here.append(list(share))
+        return run_share(spec, share)
 
-        def shutdown(self, wait=True, cancel_futures=False):
-            self.shut = True
+    class InProcessWorker:
+        def __init__(self, parent_ends):
+            if not parent_ends:
+                fakes.pools.append([])
+            assert parent_ends == [worker.conn for worker in fakes.pools[-1]]
+            fakes.pools[-1].append(self)
+            self.conn = object()
+            self.jobs = []
+            self.shares = []
+            self.stopped = None
+
+        def send(self, job):
+            run, share = job
+            self.jobs.append(pickle.dumps((run.args, share)))
+            self.shares.append(list(share))
+
+        def recv(self):
+            args, share = pickle.loads(self.jobs[-1])
+            return pickle.loads(pickle.dumps(run_share(*args, share)))
+
+        def stop(self, *, wait):
+            self.stopped = wait
 
     monkeypatch.setattr(experiment, "_pool", None)
-    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(experiment, "_Worker", InProcessWorker)
+    monkeypatch.setattr(experiment, "_run_share", run_share_here)
     allow_cpus(monkeypatch, 4)
-    return pools
+    return fakes
 
 
 @pytest.mark.parametrize(
     "workers, trials, started",
-    [(0, 6, 4), (64, 6, 4), (0, 3, 3), (2, 6, 2), (64, 1, None), (1, 6, None)],
+    [(0, 6, 3), (64, 6, 3), (0, 3, 2), (2, 6, 1), (64, 1, None), (1, 6, None)],
 )
 def test_pool_is_bounded_by_cpus_and_trials(fake_pools, workers, trials, started):
+    # ``started`` worker processes run beside the caller, one share each.
     spec = make_spec(trials=trials, algorithms=["random"])
     records, _ = run_experiment(spec, workers=workers)
-    assert [pool.max_workers for pool in fake_pools] == ([] if started is None else [started])
+    assert [len(pool) for pool in fake_pools.pools] == ([] if started is None else [started])
     serial, _ = run_experiment(spec, workers=1)
     assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
 
@@ -434,8 +459,10 @@ def grid_bytes_at(tmp_path, workers: int) -> bytes:
 def test_a_pool_pass_maps_one_strided_share_per_worker(tmp_path, fake_pools, workers):
     assert grid_bytes_at(tmp_path, workers) == grid_bytes_at(tmp_path, 1)
     tasks = [(grid_id, trial) for grid_id in range(3) for trial in range(5)]
-    (pool,) = fake_pools
-    assert pool.mapped == [[tasks[i::workers] for i in range(workers)]]  # one map, one share each
+    shares = [tasks[i::workers] for i in range(workers)]
+    (pool,) = fake_pools.pools
+    assert fake_pools.here == [shares[0], tasks]  # the pass's share 0, then the serial run
+    assert [worker.shares for worker in pool] == [[share] for share in shares[1:]]  # one each
 
 
 def test_two_strided_shares_reassemble_the_serial_bytes(tmp_path, monkeypatch):
@@ -447,14 +474,16 @@ def test_one_allowed_cpu_runs_serially(fake_pools, monkeypatch):
     # os.cpu_count() counts the machine; the affinity mask is what may run.
     monkeypatch.setattr(experiment.os, "sched_getaffinity", lambda pid: {0}, raising=False)
     run_experiment(make_spec(trials=6, algorithms=["random"]), workers=0)
-    assert fake_pools == []
+    assert fake_pools.pools == []
 
 
 def test_a_pool_of_another_size_replaces_the_cached_one(fake_pools):
     spec = make_spec(trials=6, algorithms=["random"])
     for workers in (2, 2, 3):
         run_experiment(spec, workers=workers)
-    assert [(pool.max_workers, pool.shut) for pool in fake_pools] == [(2, True), (3, False)]
+    # The idle 1-worker pool is stopped and waited for; the 2-worker one is kept.
+    stopped = [[worker.stopped for worker in pool] for pool in fake_pools.pools]
+    assert stopped == [[True], [None, None]]
 
 
 def worker_pids() -> set[int]:
@@ -468,16 +497,43 @@ def wait_until_gone(pids: set[int]) -> None:
         time.sleep(0.01)
 
 
+@contextmanager
+def within(seconds: int):
+    """Fail, rather than hang, if the block is still running after ``seconds``."""
+
+    def expire(signum, frame):  # not an OSError, which multiprocessing's waitpid swallows
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_pool_is_kept_across_calls(monkeypatch):
     allow_cpus(monkeypatch, 2)
     spec = make_spec(trials=4, algorithms=["random"])
     run_experiment(spec, workers=2)
     started = worker_pids()
-    assert len(started) == 2
+    assert len(started) == 1
     run_experiment(spec, workers=1)
     assert worker_pids() == started
     run_experiment(spec, workers=2)
     assert worker_pids() == started
+
+
+def test_pools_of_every_size_reassemble_the_serial_bytes(tmp_path, monkeypatch):
+    allow_cpus(monkeypatch, 4)
+    serial = grid_bytes_at(tmp_path, 1)
+    # Each size replaces the last pool and waits for its workers, which end
+    # only once every forked copy of their pipes' parent ends is closed.
+    with within(60):
+        for workers in (4, 3, 2):
+            assert grid_bytes_at(tmp_path, workers) == serial
+            assert len(worker_pids()) == workers - 1
 
 
 def test_a_worker_killed_between_calls_costs_no_call(monkeypatch):
@@ -487,12 +543,116 @@ def test_a_worker_killed_between_calls_costs_no_call(monkeypatch):
     run_experiment(spec, workers=2)
     started = worker_pids()
     os.kill(min(started), signal.SIGKILL)
-    # The pool marks itself broken, then ends its other workers, once it sees
-    # one die; waiting for that keeps the next call from racing it.
+    # Once it is gone its pipe is closed, so the next pass finds it dead when
+    # it sends, rather than racing its death.
     wait_until_gone(started)
     records, _ = run_experiment(spec, workers=2)
     assert list(map(record_to_csv_row, records)) == serial
-    assert worker_pids().isdisjoint(started) and len(worker_pids()) == 2
+    assert worker_pids().isdisjoint(started) and len(worker_pids()) == 1
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """Two CPUs and no pool cached, before and after, so that workers fork
+    from the test's patches and none outlives it."""
+    allow_cpus(monkeypatch, 2)
+    experiment._drop_pool()
+    yield
+    experiment._drop_pool()
+
+
+def test_a_worker_that_dies_mid_pass_fails_the_call(tmp_path, monkeypatch, own_pool):
+    serial_out, out = tmp_path / "serial.csv", tmp_path / "r.csv"
+    out.write_text("an earlier run\n")
+    spec = make_spec(trials=4, algorithms=["random"], output=str(out))
+    run_experiment(replace(spec, output=str(serial_out)), workers=1)
+    run_trial = experiment._run_trial
+
+    def exit_at_trial_3(spec, task):
+        if task == (0, 3):  # in share 1 of 2
+            os._exit(3)
+        return run_trial(spec, task)
+
+    monkeypatch.setattr(experiment, "_run_trial", exit_at_trial_3)
+    with within(30), pytest.raises(RuntimeError) as raised:
+        run_experiment(spec, workers=2)
+    dead = re.fullmatch(r"pool worker (\d+) exited with code 3 in the middle of a pass", str(raised.value))
+    assert dead is not None, str(raised.value)
+    assert out.read_text() == "an earlier run\n"
+    monkeypatch.setattr(experiment, "_run_trial", run_trial)
+    run_experiment(spec, workers=2)
+    assert out.read_bytes() == serial_out.read_bytes()
+    (fresh,) = worker_pids()
+    assert fresh != int(dead.group(1))
+
+
+class Unrebuildable(Exception):
+    """Pickles, but unpickling calls ``__init__`` with one argument and fails."""
+
+    def __init__(self, what, where):
+        super().__init__(f"{what} at {where}")
+
+
+@pytest.mark.parametrize("picklable", [True, False], ids=["picklable", "unpicklable"])
+def test_a_worker_exception_reaches_the_caller_intact(monkeypatch, own_pool, picklable):
+    spec = make_spec(trials=4, algorithms=["random"])
+    serial = list(map(record_to_csv_row, run_experiment(spec, workers=1)[0]))
+    run_trial = experiment._run_trial
+
+    def refuse_trial_1(spec, task):
+        if task == (0, 1):  # in share 1 of 2
+            if picklable:
+                raise ValueError("trial 1 refused")
+            raise Unrebuildable("trial 1", "share 1")
+        return run_trial(spec, task)
+
+    monkeypatch.setattr(experiment, "_run_trial", refuse_trial_1)
+    with within(30), pytest.raises(ValueError if picklable else RuntimeError) as raised:
+        run_experiment(spec, workers=2)
+    kind = "ValueError" if picklable else f"{Unrebuildable.__module__}.Unrebuildable"
+    message = "trial 1 refused" if picklable else "trial 1 at share 1"
+    if picklable:
+        assert str(raised.value) == message
+    else:  # a stand-in that names the type
+        assert str(raised.value) == f"{kind}: {message} (raised in a pool worker, not picklable)"
+    remote = str(raised.value.__cause__)
+    assert "in refuse_trial_1" in remote
+    assert remote.rstrip('"\n').endswith(f"{kind}: {message}")
+    monkeypatch.setattr(experiment, "_run_trial", run_trial)
+    records, _ = run_experiment(spec, workers=2)
+    assert list(map(record_to_csv_row, records)) == serial
+
+
+def test_a_failure_in_the_callers_share_ends_the_busy_worker(tmp_path, monkeypatch, own_pool):
+    spec = make_spec(trials=4, algorithms=["random"])
+    serial = list(map(record_to_csv_row, run_experiment(spec, workers=1)[0]))
+    run_trial = experiment._run_trial
+    busy = tmp_path / "busy"  # holds the pid of the worker once it is busy
+
+    def refuse_trial_0(spec, task):
+        if task == (0, 0):  # the caller's share: fail once the worker is busy
+            deadline = time.monotonic() + 30
+            while not busy.exists():
+                assert time.monotonic() < deadline, "the worker never started trial 1"
+                time.sleep(0.01)
+            raise InputError(f"trial {task} refused")
+        if task == (0, 1):  # the worker's share: busy until it is ended
+            busy.write_text(str(os.getpid()))
+            time.sleep(60)
+        return run_trial(spec, task)
+
+    monkeypatch.setattr(experiment, "_run_trial", refuse_trial_0)
+    busy.write_text("")
+    with pytest.raises(InputError) as alone:
+        run_experiment(spec, workers=1)
+    busy.unlink()
+    with within(30), pytest.raises(InputError) as pooled:
+        run_experiment(spec, workers=2)
+    assert str(pooled.value) == str(alone.value)
+    wait_until_gone({int(busy.read_text())})
+    monkeypatch.setattr(experiment, "_run_trial", run_trial)
+    records, _ = run_experiment(spec, workers=2)
+    assert list(map(record_to_csv_row, records)) == serial
 
 
 def test_a_trial_that_raises_in_a_worker_shuts_the_pool_down(monkeypatch):
@@ -505,7 +665,7 @@ def test_a_trial_that_raises_in_a_worker_shuts_the_pool_down(monkeypatch):
         run_experiment(too_many_ones, workers=2)
     wait_until_gone(started)
     records, _ = run_experiment(spec, workers=2)
-    assert worker_pids().isdisjoint(started) and len(worker_pids()) == 2
+    assert worker_pids().isdisjoint(started) and len(worker_pids()) == 1
     serial, _ = run_experiment(spec, workers=1)
     assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
 
@@ -526,7 +686,7 @@ def test_workers_exit_with_the_interpreter():
     )
     assert done.returncode == 0, done.stderr
     pids = [int(pid) for pid in done.stdout.split()]
-    assert len(pids) == 2
+    assert len(pids) == 1
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
