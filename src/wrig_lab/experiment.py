@@ -324,7 +324,7 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
 
 
 def _run_share(spec: ExperimentSpec, share: Sequence[tuple[int, int]]) -> list[TrialRecord]:
-    """The records of ``share``'s tasks, run in turn; a pool pass maps one share per worker."""
+    """The records of ``share``'s tasks, run in turn: one pool share, or a whole serial pass."""
     return [_run_trial(spec, task) for task in share]
 
 
@@ -385,7 +385,7 @@ class _Worker:
         """The records of the share sent last, or its exception raised here."""
         try:
             reply = self.conn.recv()
-        except EOFError:
+        except (EOFError, ConnectionResetError):  # it died, before or after reading its share
             self.process.join(timeout=10)
             raise RuntimeError(
                 f"pool worker {self.process.pid} exited with code "
@@ -407,7 +407,7 @@ class _Worker:
 
 
 def _worker_pool(count: int) -> list[_Worker]:
-    """The cached ``count - 1`` workers of a ``count``-share pool; a pool of another size is shut down."""
+    """The cached workers of a ``count``-share pool; a pool of another size is shut down."""
     global _pool
     if _pool is not None and _pool[0] != count:
         for worker in _pool[1]:

@@ -432,14 +432,14 @@ def fake_pools(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workers, trials, started",
-    [(0, 6, 3), (64, 6, 3), (0, 3, 2), (2, 6, 1), (64, 1, None), (1, 6, None)],
+    "workers, trials, shares",
+    [(0, 6, 4), (64, 6, 4), (0, 3, 3), (2, 6, 2), (64, 1, None), (1, 6, None)],
 )
-def test_pool_is_bounded_by_cpus_and_trials(fake_pools, workers, trials, started):
-    # ``started`` worker processes run beside the caller, one share each.
+def test_pool_is_bounded_by_cpus_and_trials(fake_pools, workers, trials, shares):
     spec = make_spec(trials=trials, algorithms=["random"])
     records, _ = run_experiment(spec, workers=workers)
-    assert [len(pool) for pool in fake_pools.pools] == ([] if started is None else [started])
+    # The caller runs one share, so shares - 1 worker processes start.
+    assert [len(pool) for pool in fake_pools.pools] == ([] if shares is None else [shares - 1])
     serial, _ = run_experiment(spec, workers=1)
     assert list(map(record_to_csv_row, records)) == list(map(record_to_csv_row, serial))
 
@@ -576,8 +576,9 @@ def test_a_worker_that_dies_mid_pass_fails_the_call(tmp_path, monkeypatch, own_p
     monkeypatch.setattr(experiment, "_run_trial", exit_at_trial_3)
     with within(30), pytest.raises(RuntimeError) as raised:
         run_experiment(spec, workers=2)
-    dead = re.fullmatch(r"pool worker (\d+) exited with code 3 in the middle of a pass", str(raised.value))
-    assert dead is not None, str(raised.value)
+    message = str(raised.value)
+    dead = re.fullmatch(r"pool worker (\d+) exited with code 3 in the middle of a pass", message)
+    assert dead is not None, message
     assert out.read_text() == "an earlier run\n"
     monkeypatch.setattr(experiment, "_run_trial", run_trial)
     run_experiment(spec, workers=2)
