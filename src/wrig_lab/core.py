@@ -128,14 +128,20 @@ class RepresentationMatrix:
             and np.array_equal(self.indices, other.indices)
         )
 
-    @property
+    @cached_property
     def sizes(self) -> np.ndarray:
-        """Number of vertices per label."""
-        return self.indptr[1:] - self.indptr[:-1]
+        """Number of vertices per label (read-only int64)."""
+        sizes = self.indptr[1:] - self.indptr[:-1]
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
+    def _entry_sum(self) -> int:
+        return int(self.sizes @ self.sizes)
 
     def entry_sum(self) -> int:
         """Sum of all entries of R^T R (diagonal included): sum of |L_l|^2."""
-        return int(self.sizes @ self.sizes)
+        return self._entry_sum
 
     def diagonal_sum(self) -> int:
         """Sum of the diagonal of R^T R, i.e. the number of ones in R."""
@@ -144,7 +150,11 @@ class RepresentationMatrix:
 
 @dataclass(frozen=True, eq=False)
 class Coloring:
-    """A 2-coloring of the vertices: a read-only 1-d int8 array of +1/-1 values."""
+    """A 2-coloring of the vertices: a read-only 1-d int8 array of +1/-1 values.
+
+    The constructor checks and copies its input; ``_fresh`` wraps an array
+    the library has just built as +1/-1 int8, and neither checks nor copies.
+    """
 
     values: np.ndarray
 
@@ -159,6 +169,15 @@ class Coloring:
         values = raw.astype(np.int8)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
+
+    @classmethod
+    def _fresh(cls, values: np.ndarray) -> "Coloring":
+        """Wrap ``values`` without checks or a copy: the caller has just
+        built it as a 1-d int8 array of +1/-1 and hands it over."""
+        values.flags.writeable = False
+        x = object.__new__(cls)
+        object.__setattr__(x, "values", values)
+        return x
 
     def __len__(self) -> int:
         return len(self.values)
@@ -187,15 +206,23 @@ def norm_sq(R: RepresentationMatrix, x: Coloring) -> int:
     return int(sums @ sums)
 
 
+def _cut_from_sums(R: RepresentationMatrix, sums: np.ndarray) -> int:
+    quad = R.entry_sum() - int(sums @ sums)
+    assert quad % 4 == 0 and quad >= 0
+    return quad // 4
+
+
+def _largest_abs(sums: np.ndarray) -> int:
+    return int(np.abs(sums).max(initial=0))
+
+
 def cut_weight(R: RepresentationMatrix, x: Coloring) -> int:
     """Weight of the cut induced by ``x``, via the norm identity.
 
     Equals (sum of all entries of R^T R - |Rx|^2) / 4, which is always a
     nonnegative integer and matches the direct crossing-edge sum.
     """
-    quad = R.entry_sum() - norm_sq(R, x)
-    assert quad % 4 == 0 and quad >= 0
-    return quad // 4
+    return _cut_from_sums(R, row_sums(R, x))
 
 
 def discrepancy(R: RepresentationMatrix, x: Coloring) -> int:
@@ -203,4 +230,10 @@ def discrepancy(R: RepresentationMatrix, x: Coloring) -> int:
 
     Zero when the matrix has no labels.
     """
-    return int(np.abs(row_sums(R, x)).max(initial=0))
+    return _largest_abs(row_sums(R, x))
+
+
+def cut_and_discrepancy(R: RepresentationMatrix, x: Coloring) -> tuple[int, int]:
+    """``(cut_weight(R, x), discrepancy(R, x))`` from one ``row_sums`` pass."""
+    sums = row_sums(R, x)
+    return _cut_from_sums(R, sums), _largest_abs(sums)

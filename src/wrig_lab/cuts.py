@@ -22,7 +22,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Coloring, InputError, RepresentationMatrix, cut_weight, offsets
+from .core import (
+    Coloring,
+    InputError,
+    RepresentationMatrix,
+    cut_and_discrepancy,
+    cut_weight,
+    offsets,
+)
 from .sampling import Seed, derive_rng
 
 BRUTE_FORCE_CAP = 24
@@ -53,10 +60,16 @@ CUT_ALGORITHMS = ("random", "majority", "exact", "mindisc")
 
 @dataclass(frozen=True)
 class CutResult:
-    """A coloring and its cut weight."""
+    """A coloring, its cut weight and its discrepancy."""
 
     coloring: Coloring
     weight: int
+    disc: int
+
+
+def _scored(R: RepresentationMatrix, x: Coloring) -> CutResult:
+    weight, disc = cut_and_discrepancy(R, x)
+    return CutResult(coloring=x, weight=weight, disc=disc)
 
 
 def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
@@ -64,8 +77,7 @@ def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
     signs = derive_rng(seed).integers(0, 2, size=R.n).astype(np.int8)
     signs *= 2
     signs -= 1
-    x = Coloring(signs)
-    return CutResult(coloring=x, weight=cut_weight(R, x))
+    return _scored(R, Coloring._fresh(signs))
 
 
 def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResult:
@@ -97,15 +109,31 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
     prefix = math.floor(epsilon * n + 1e-9)
     signs = np.full(n, -1, dtype=np.int8)
     if prefix:
-        signs[:prefix] = rng.integers(0, 2, size=prefix) * 2 - 1
+        signs[:prefix] = _fresh_signs(rng, prefix)
     if len(R.indices):
         view = _ColumnView(R)
         n_single = int(np.count_nonzero(view.alone))
         n_multi = len(view.starts) - n_single
         sweep = _sweep_runs if _runs_pay(n_single, n_multi) else _sweep_vertices
         sweep(R, view, signs, prefix)
-    x = Coloring(signs)
-    return CutResult(coloring=x, weight=cut_weight(R, x))
+    return _scored(R, Coloring._fresh(signs))
+
+
+def _fresh_signs(rng: np.random.Generator, k: int) -> np.ndarray:
+    """``rng.integers(0, 2, size=k) * 2 - 1`` of a fresh ``rng`` as int8,
+    read off its raw words.
+
+    For this range ``integers`` returns bit 31 of each 32-bit draw, and a
+    32-bit draw is the low, then the high half of a 64-bit word.  At odd k
+    ``integers`` would keep the last word's high half for its next draw,
+    which this read drops, so ``rng`` must not be drawn from again.
+    """
+    words = rng.bit_generator.random_raw((k + 1) // 2)
+    halves = words.astype("<u8", copy=False).view("<u4")[:k]
+    signs = (halves >> 31).astype(np.int8)
+    signs *= 2
+    signs -= 1
+    return signs
 
 
 def _runs_pay(n_single: int, n_multi: int) -> bool:
@@ -228,7 +256,9 @@ def _sweep_runs(
     s = anchor_sums[a]
     j = singles_before[q] - singles_before[a]
     t = j + s
-    signs[vertices[q]] = np.where((t < 0) | ((t % 2 == 1) & (j > s)), 1, -1)
+    up = (t & 1) & (j > s)
+    up |= t < 0
+    signs[vertices[q]] = np.where(up, np.int8(1), np.int8(-1))
 
 
 def beta_lower_bound(c: float) -> float:
@@ -306,13 +336,13 @@ def _argmin_over_colorings(
     within a block and a strict < across blocks return the
     lexicographically smallest optimum.
 
+    Callers pass R to ``check_oracle_input`` before any per-label work.
     ``floor`` is a lower bound on every score.  Blocks run in increasing
     mask order and only a strictly smaller score replaces the best, so once
     the best reaches the floor no later block can replace it: the loop
     stops there and returns the same optimum as the full walk.
     """
     n, m = R.n, R.m
-    check_oracle_input(n, m)
     # Row sums and scores are float64 for BLAS, and exact: every entry of
     # A and B is an integer with |.| <= 12 (n <= 24) and |a_l| + |b_l| <=
     # |S_l| <= 24, so every partial sum of a score, in any order and with
@@ -353,6 +383,7 @@ def brute_force_max_cut(R: RepresentationMatrix) -> CutResult:
     returned.  The search stops early once |Rx|^2 reaches the number of
     odd-sized labels, the parity floor.
     """
+    check_oracle_input(R.n, R.m)
 
     def norm_sq(A: np.ndarray, B: np.ndarray):
         a_sq = np.einsum("ij,ij->i", A, A)[:, None]
@@ -367,10 +398,8 @@ def brute_force_max_cut(R: RepresentationMatrix) -> CutResult:
 
         return score
 
-    best_norm, coloring = _argmin_over_colorings(R, norm_sq, _odd_labels(R))
-    quad = R.entry_sum() - best_norm
-    assert quad % 4 == 0
-    return CutResult(coloring=coloring, weight=quad // 4)
+    _, coloring = _argmin_over_colorings(R, norm_sq, _odd_labels(R))
+    return _scored(R, coloring)
 
 
 def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]:
@@ -380,6 +409,7 @@ def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]
     returned.  The search stops early once the discrepancy reaches 1 when
     some label has odd size, or 0 when none has, the parity floor.
     """
+    check_oracle_input(R.n, R.m)
 
     def disc(A: np.ndarray, B: np.ndarray):
         # |a_l + b_l| <= |S_l| <= n <= 24, so label sums fit int8.  A block
@@ -419,6 +449,6 @@ def solve(
     if algo == "exact":
         return brute_force_max_cut(R)
     if algo == "mindisc":
-        coloring, _ = brute_force_min_discrepancy(R)
-        return CutResult(coloring=coloring, weight=cut_weight(R, coloring))
+        coloring, disc = brute_force_min_discrepancy(R)
+        return CutResult(coloring=coloring, weight=cut_weight(R, coloring), disc=disc)
     raise InputError(f"unknown cut algorithm {algo!r}, expected one of {CUT_ALGORITHMS}")

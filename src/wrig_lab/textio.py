@@ -104,7 +104,8 @@ def read_matrix(path: PathLike) -> RepresentationMatrix:
 
 
 def format_coloring(x: Coloring) -> str:
-    return _coloring_bytes(x.values).decode("ascii")
+    # Decoded straight off the array's buffer, with no bytes copy between.
+    return str(_coloring_text(x.values), "ascii")
 
 
 def parse_coloring(text: str) -> Coloring:
@@ -112,7 +113,7 @@ def parse_coloring(text: str) -> Coloring:
     values = _signs(data)
     # Canonical text, as format_coloring writes it, is read straight off
     # its sign bytes; any other text is split into tokens.
-    if not (np.abs(values) == 1).all() or _coloring_bytes(values) != data:
+    if not (np.abs(values) == 1).all() or not _is_canonical(data):
         tokens = text.split()
         if not set(tokens) <= set(_COLORING_TOKENS):
             token = next(t for t in tokens if t not in _COLORING_TOKENS)
@@ -120,7 +121,7 @@ def parse_coloring(text: str) -> Coloring:
         if not tokens:
             raise InputError("empty coloring file")
         values = _signs(" ".join(tokens).encode("ascii"))
-    return Coloring(values)
+    return Coloring._fresh(values)
 
 
 def _signs(data: bytes) -> np.ndarray:
@@ -133,10 +134,10 @@ def _signs(data: bytes) -> np.ndarray:
     return np.subtract(ord(","), signs, dtype=np.int8, casting="unsafe")
 
 
-def _coloring_bytes(values: np.ndarray) -> bytes:
-    """Canonical text of +1/-1 ``values``, as ``format_coloring`` writes it."""
+def _coloring_text(values: np.ndarray) -> np.ndarray:
+    """Canonical text of +1/-1 ``values`` as uint8, as ``format_coloring`` writes it."""
     if not len(values):
-        return b"\n"
+        return np.frombuffer(b"\n", dtype=np.uint8)
     # Three bytes per vertex: sign, "1", then a space, or the final newline.
     # The sign byte is "," - x, the inverse of _signs.
     out = np.empty((len(values), 3), dtype=np.uint8)
@@ -144,7 +145,21 @@ def _coloring_bytes(values: np.ndarray) -> bytes:
     out[:, 1] = ord("1")
     out[:, 2] = ord(" ")
     out[-1, 2] = ord("\n")
-    return out.tobytes()
+    return out
+
+
+def _is_canonical(data: bytes) -> bool:
+    """Whether ``data``, whose every third byte from the first is a sign, is
+    the text ``format_coloring`` writes: "1" after each sign, then a space,
+    or a newline after the last.  Checked in place, with no copy of the text."""
+    text = np.frombuffer(data, dtype=np.uint8)
+    return (
+        len(text) > 0
+        and len(text) % 3 == 0
+        and bool((text[1::3] == ord("1")).all())
+        and bool((text[2:-1:3] == ord(" ")).all())
+        and text[-1] == ord("\n")
+    )
 
 
 def write_coloring(x: Coloring, path: PathLike) -> None:

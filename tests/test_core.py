@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import (
     WeightedIntersectionGraph,
@@ -11,16 +11,19 @@ from helpers import (
     matrices_with_colorings,
     vertex_label_sets,
 )
-from wrig_lab import cuts
+from wrig_lab import cuts, textio
+from wrig_lab.bipartization import weak_bipartization
 from wrig_lab.core import (
     Coloring,
     InputError,
     RepresentationMatrix,
+    cut_and_discrepancy,
     cut_weight,
     discrepancy,
     norm_sq,
     row_sums,
 )
+from wrig_lab.sampling import ModelParams, sample_matrix
 
 TWO_PATH = RepresentationMatrix.from_label_sets(3, [[0, 1], [1, 2]])
 TRIANGLE = RepresentationMatrix.from_label_sets(3, [[0, 1, 2]])
@@ -149,6 +152,9 @@ def test_from_csr_matches_from_label_sets_and_is_read_only():
     assert (R.m, R.n, R.entry_sum(), R.diagonal_sum()) == (4, 5, 14, 6)
     with pytest.raises(ValueError):
         R.indices[0] = 1
+    assert R.sizes.tolist() == [3, 2, 0, 1]
+    with pytest.raises(ValueError):
+        R.sizes[0] = 1
 
 
 @pytest.mark.parametrize("bad", [0, 2])
@@ -231,3 +237,33 @@ def test_negation_symmetry(case):
     assert cut_weight(R, x) == cut_weight(R, neg)
     assert norm_sq(R, x) == norm_sq(R, neg)
     assert discrepancy(R, x) == discrepancy(R, neg)
+
+
+@settings(deadline=None)
+@given(matrices_with_colorings())
+@example((RepresentationMatrix.from_label_sets(3, []), X_PLUS))
+@example((ZEROS, Coloring((1, -1, -1, 1))))
+@example((RepresentationMatrix.from_label_sets(1, [[0], []]), Coloring((-1,))))
+def test_cut_and_discrepancy_match_the_two_evaluators(case):
+    R, x = case
+    assert cut_and_discrepancy(R, x) == (cut_weight(R, x), discrepancy(R, x))
+
+
+def test_library_colorings_are_read_only_int8_signs():
+    # Colorings the library builds itself skip Coloring's checks and copy.
+    R = sample_matrix(ModelParams(n=301, m=301, p=0.002), 4)
+    small = sample_matrix(ModelParams(n=12, m=12, p=0.15), 4)
+    colorings = [
+        (R, cuts.random_cut(R, 1).coloring),
+        *[(R, cuts.majority_cut(R, eps, 2).coloring) for eps in (0.0, 0.01, 1.0)],
+        (small, cuts.brute_force_max_cut(small).coloring),
+        (small, cuts.brute_force_min_discrepancy(small)[0]),
+        (R, weak_bipartization(R, 3).coloring),
+        (R, textio.parse_coloring("+1 -1\n" * 150 + "-1\n")),
+        (R, textio.parse_coloring("-1 " * 300 + "+1\n")),
+    ]
+    for matrix, x in colorings:
+        values = x.values
+        assert values.dtype == np.int8 and values.shape == (matrix.n,)
+        assert np.isin(values, (-1, 1)).all()
+        assert not values.flags.writeable

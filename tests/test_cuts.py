@@ -227,11 +227,21 @@ def test_majority_config_validation():
 
 @settings(deadline=None, max_examples=60)
 @given(matrices(max_n=8))
-def test_heuristic_weights_match_their_colorings(R):
-    rnd = random_cut(R, 5)
-    assert rnd.weight == cut_weight(R, rnd.coloring)
-    maj = majority_cut(R, 0.25, 6)
-    assert maj.weight == cut_weight(R, maj.coloring)
+def test_solvers_score_their_colorings(R):
+    for algo in cuts.CUT_ALGORITHMS:
+        result = cuts.solve(R, algo, 5, epsilon=0.25)
+        assert result.weight == cut_weight(R, result.coloring)
+        assert result.disc == discrepancy(R, result.coloring)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 101, 2**18 + 1])
+def test_fresh_signs_match_the_integers_draw(k):
+    # A fresh generator's integers(0, 2) bits, read off its raw words.
+    for seed in range(200 if k < 1000 else 10):
+        expected = derive_rng(seed).integers(0, 2, size=k) * 2 - 1
+        signs = cuts._fresh_signs(derive_rng(seed), k)
+        assert signs.dtype == np.int8
+        assert np.array_equal(signs, expected)
 
 
 def test_solve_passes_the_cap_and_rejects_unknown_names():
