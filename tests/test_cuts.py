@@ -227,11 +227,11 @@ def test_majority_config_validation():
 
 @settings(deadline=None, max_examples=60)
 @given(matrices(max_n=8))
-def test_solvers_score_their_colorings(R):
-    for algo in cuts.CUT_ALGORITHMS:
-        result = cuts.solve(R, algo, 5, epsilon=0.25)
-        assert result.weight == cut_weight(R, result.coloring)
-        assert result.disc == discrepancy(R, result.coloring)
+def test_heuristic_weights_match_their_colorings(R):
+    rnd = random_cut(R, 5)
+    assert rnd.weight == cut_weight(R, rnd.coloring)
+    maj = majority_cut(R, 0.25, 6)
+    assert maj.weight == cut_weight(R, maj.coloring)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 101, 2**18 + 1])
