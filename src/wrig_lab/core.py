@@ -136,6 +136,11 @@ class RepresentationMatrix:
         return sizes
 
     @cached_property
+    def _filled(self) -> np.ndarray:
+        """Labels with at least one vertex, ascending."""
+        return np.flatnonzero(self.sizes)
+
+    @cached_property
     def _entry_sum(self) -> int:
         return int(self.sizes @ self.sizes)
 
@@ -196,8 +201,14 @@ def _check_length(R: RepresentationMatrix, x: Coloring) -> None:
 def row_sums(R: RepresentationMatrix, x: Coloring) -> np.ndarray:
     """Per-label signed color sums: (Rx)_l = sum of x_v over v in L_l (int64)."""
     _check_length(R, x)
-    prefix = offsets(x.values[R.indices])[R.indptr]
-    return prefix[1:] - prefix[:-1]
+    sums = np.zeros(R.m, dtype=np.int64)
+    filled = R._filled
+    if len(filled):
+        # A segment of reduceat runs from its start to the next start, so
+        # the empty labels, whose segments would be wrong, are left out.
+        starts = R.indptr[filled]
+        sums[filled] = np.add.reduceat(x.values[R.indices], starts, dtype=np.int64)
+    return sums
 
 
 def norm_sq(R: RepresentationMatrix, x: Coloring) -> int:
