@@ -286,7 +286,7 @@ def _cycle_labels(
 
 
 def find_codd_member(
-    R: RepresentationMatrix, skeleton: Skeleton
+    skeleton: Skeleton, strong: Sequence[bool]
 ) -> tuple[
     Optional[VertexLabelSequence],
     list[VertexLabelSequence],
@@ -294,7 +294,8 @@ def find_codd_member(
     Optional[Coloring],
 ]:
     """Search ``skeleton``, the ``_skeleton`` of the current matchings, for
-    a repairable odd cycle.
+    a repairable odd cycle.  ``strong[l]`` tells whether label l is strong
+    (``_strong_labels``).
 
     Returns ``(member, zero_strong, excluded, coloring)``.  Each search
     step 2-colours the skeleton minus ``excluded``; once that graph is
@@ -313,7 +314,6 @@ def find_codd_member(
     since re-matching that label is the only available fix.
     """
     pairs, adj = skeleton
-    strong = _strong_labels(R)
     zero_strong: list[VertexLabelSequence] = []
     excluded: set[ExcludedEdge] = set()
     try:
@@ -369,7 +369,7 @@ def weak_bipartization(
     while True:
         # Looked up at call time, so a wrapper at the module attribute sees
         # every pass.
-        member, zero_strong, excluded, coloring = find_codd_member(R, skeleton)
+        member, zero_strong, excluded, coloring = find_codd_member(skeleton, strong)
         if member is None:
             break
         encountered.add(member)

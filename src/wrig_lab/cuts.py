@@ -59,12 +59,17 @@ class CutResult:
     weight: int
 
 
-def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
-    """Color every vertex independently and equiprobably, then score the cut."""
-    signs = derive_rng(seed).integers(0, 2, size=R.n).astype(np.int8)
+def _random_signs(rng: np.random.Generator, k: int) -> np.ndarray:
+    """k independent equiprobable signs as int8 ±1."""
+    signs = rng.integers(0, 2, size=k).astype(np.int8)
     signs *= 2
     signs -= 1
-    x = Coloring._fresh(signs)
+    return signs
+
+
+def random_cut(R: RepresentationMatrix, seed: Seed) -> CutResult:
+    """Color every vertex independently and equiprobably, then score the cut."""
+    x = Coloring._fresh(_random_signs(derive_rng(seed), R.n))
     return CutResult(coloring=x, weight=cut_weight(R, x))
 
 
@@ -97,7 +102,7 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
     prefix = math.floor(epsilon * n + 1e-9)
     signs = np.full(n, -1, dtype=np.int8)
     if prefix:
-        signs[:prefix] = _fresh_signs(rng, prefix)
+        signs[:prefix] = _random_signs(rng, prefix)
     if len(R.indices):
         view = _ColumnView(R)
         n_single = int(np.count_nonzero(view.alone))
@@ -106,23 +111,6 @@ def majority_cut(R: RepresentationMatrix, epsilon: float, seed: Seed) -> CutResu
         sweep(R, view, signs, prefix)
     x = Coloring._fresh(signs)
     return CutResult(coloring=x, weight=cut_weight(R, x))
-
-
-def _fresh_signs(rng: np.random.Generator, k: int) -> np.ndarray:
-    """``rng.integers(0, 2, size=k) * 2 - 1`` of a fresh ``rng`` as int8,
-    read off its raw words.
-
-    For this range ``integers`` returns bit 31 of each 32-bit draw, and a
-    32-bit draw is the low, then the high half of a 64-bit word.  At odd k
-    ``integers`` would keep the last word's high half for its next draw,
-    which this read drops, so ``rng`` must not be drawn from again.
-    """
-    words = rng.bit_generator.random_raw((k + 1) // 2)
-    halves = words.astype("<u8", copy=False).view("<u4")[:k]
-    signs = (halves >> 31).astype(np.int8)
-    signs *= 2
-    signs -= 1
-    return signs
 
 
 def _runs_pay(n_single: int, n_multi: int) -> bool:

@@ -52,11 +52,11 @@ CSV_SCHEMA_LINE = "# wrig-lab schema 1"
 # serialized coloring as a self-check (every 100th trial).
 AUDIT_EVERY = 100
 
-# (share count, its count - 1 workers) kept across run_experiment calls: a
-# pass runs share 0 in the calling process and sends each worker one other
-# share over its pipe.  Starting the workers costs about as much as a short
-# pass.  They exit at interpreter exit.
-_pool: Optional[tuple[int, list["_Worker"]]] = None
+# The count - 1 workers of a count-share pool, kept across run_experiment
+# calls: a pass runs share 0 in the calling process and sends each worker
+# one other share over its pipe.  Starting the workers costs about as much
+# as a short pass.  They exit at interpreter exit.
+_pool: Optional[list["_Worker"]] = None
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ class ExperimentSpec:
                 if not value:
                     raise InputError(f"{key} must name a file, got ''")
         if self.output is not None and self.summary is not None:
-            if os.path.abspath(self.output) == os.path.abspath(self.summary):
+            if os.path.realpath(self.output) == os.path.realpath(self.summary):
                 raise InputError(
                     f"output {self.output!r} and summary {self.summary!r} name the same file"
                 )
@@ -357,7 +357,7 @@ def _serve(conn: Connection, parent_ends: Sequence[Connection]) -> None:
             reply = (False, error, text)
         try:
             conn.send(reply)
-        except OSError:  # the pool was dropped
+        except OSError:  # the caller is gone
             return
 
 
@@ -397,36 +397,31 @@ class _Worker:
         error.__cause__ = _RemoteTraceback(text)
         raise error
 
-    def stop(self, *, wait: bool) -> None:
-        """Let the worker read EOF and wait for it, or, as it may be busy, end it now."""
-        if not wait:
-            self.process.terminate()
+    def stop(self) -> None:
+        """End the worker, busy, idle or dead, and wait for it to go."""
+        self.process.terminate()
         self.conn.close()
-        if wait:
-            self.process.join()
+        self.process.join()
 
 
 def _worker_pool(count: int) -> list[_Worker]:
-    """The cached workers of a ``count``-share pool; a pool of another size is shut down."""
+    """The cached workers of a ``count``-share pool; a pool of another size is ended."""
     global _pool
-    if _pool is not None and _pool[0] != count:
-        for worker in _pool[1]:
-            worker.stop(wait=True)
-        _pool = None
+    if _pool is not None and len(_pool) != count - 1:
+        _drop_pool()
     if _pool is None:
-        workers: list[_Worker] = []
+        _pool = []
         for _ in range(count - 1):
-            workers.append(_Worker([worker.conn for worker in workers]))
-        _pool = (count, workers)
-    return _pool[1]
+            _pool.append(_Worker([worker.conn for worker in _pool]))
+    return _pool
 
 
 def _drop_pool() -> None:
-    """End the cached pool's workers without waiting: they may be busy or dead."""
+    """End the cached pool's workers, if any."""
     global _pool
     if _pool is not None:
-        for worker in _pool[1]:
-            worker.stop(wait=False)
+        for worker in _pool:
+            worker.stop()
         _pool = None
 
 
@@ -450,7 +445,8 @@ def run_experiment(
     A pool of ``count`` shares is ``count - 1`` forked worker processes
     plus the caller.  It is started once and kept for later calls with the
     same count, which pays only where a process calls this more than once;
-    a serial call leaves it alone, a pool call that raises ends its
+    a call with another count ends its workers and starts new ones, a
+    serial call leaves it alone, a pool call that raises ends its
     workers, and a worker found dead when a pass sends to it (it died while
     the pool sat idle) gets the pass sent again to a fresh pool.  A worker
     that dies during a pass fails the call with an error naming its exit

@@ -26,6 +26,7 @@ from wrig_lab.bipartization import (
     STRONG_MIN_SIZE,
     _shortest_odd_cycle,
     _skeleton,
+    _strong_labels,
     _two_color,
     count_sequences_exact,
     default_max_rematch,
@@ -196,7 +197,8 @@ def test_detector_cycles_lead_with_their_smallest_vertex():
             R = sample_matrix(ModelParams.from_c(100, c), derive_seed(6100, seed))
             rng = derive_rng(derive_seed(6200, seed))
             matchings = [random_maximal_matching(R.label_sets[l], rng) for l in range(R.m)]
-            member, zero_strong, _, _ = find_codd_member(R, _skeleton(R.n, matchings))
+            skeleton = _skeleton(R.n, matchings)
+            member, zero_strong, _, _ = find_codd_member(skeleton, _strong_labels(R))
             for seq in zero_strong + ([member] if member else []):
                 vs, k = seq.vertices, len(seq.vertices)
                 assert vs[0] == min(vs)
@@ -211,7 +213,7 @@ def test_detector_cycles_lead_with_their_smallest_vertex():
 
 def test_detector_records_weak_triangle_and_reports_absent():
     member, zero_strong, excluded, coloring = find_codd_member(
-        WEAK_TRIANGLE, _skeleton(WEAK_TRIANGLE.n, [[(0, 1)], [(1, 2)], [(0, 2)]])
+        _skeleton(WEAK_TRIANGLE.n, [[(0, 1)], [(1, 2)], [(0, 2)]]), _strong_labels(WEAK_TRIANGLE)
     )
     assert member is None
     assert tuple(coloring.values) == (1, 1, -1)  # the path 0 - 2 - 1 left over
@@ -224,7 +226,7 @@ def test_detector_records_weak_triangle_and_reports_absent():
 
 def test_detector_returns_strong_cycle():
     member, zero_strong, excluded, coloring = find_codd_member(
-        STRONG_MIX, _skeleton(STRONG_MIX.n, [[(0, 1)], [(1, 2)], [(0, 2)]])
+        _skeleton(STRONG_MIX.n, [[(0, 1)], [(1, 2)], [(0, 2)]]), _strong_labels(STRONG_MIX)
     )
     assert member is not None
     assert coloring is None
@@ -238,7 +240,7 @@ def test_detector_returns_strong_cycle():
 
 def test_detector_absent_on_bipartite_skeleton():
     member, zero_strong, excluded, coloring = find_codd_member(
-        STRONG_MIX, _skeleton(STRONG_MIX.n, [[(0, 3)], [(1, 2)], [(0, 2)]])
+        _skeleton(STRONG_MIX.n, [[(0, 3)], [(1, 2)], [(0, 2)]]), _strong_labels(STRONG_MIX)
     )
     assert member is None
     assert tuple(coloring.values) == (1, 1, -1, -1)  # the path 3 - 0 - 2 - 1
@@ -251,7 +253,7 @@ def test_detector_handles_repeated_strong_label():
     # odd cycle; the cycle is still a repair member (strength counts both).
     R = RepresentationMatrix.from_label_sets(5, [[0, 1, 2, 3], [1, 2], [3, 4], [0, 4]])
     matchings = [[(0, 1), (2, 3)], [(1, 2)], [(3, 4)], [(0, 4)]]
-    member, _, _, _ = find_codd_member(R, _skeleton(R.n, matchings))
+    member, _, _, _ = find_codd_member(_skeleton(R.n, matchings), _strong_labels(R))
     assert member.vertices == (0, 1, 2, 3, 4)
     assert member.labels == (0, 1, 0, 2, 3)
     assert member.strength == 2
@@ -271,7 +273,7 @@ def test_detector_flags_label_sharing():
         4, [[0, 1], [1, 2], [0, 2], [2, 3], [1, 3]]
     )
     member, zero_strong, excluded, _ = find_codd_member(
-        R, _skeleton(R.n, [[(0, 1)], [(1, 2)], [(0, 2)], [(2, 3)], [(1, 3)]])
+        _skeleton(R.n, [[(0, 1)], [(1, 2)], [(0, 2)], [(2, 3)], [(1, 3)]]), _strong_labels(R)
     )
     assert member is None
     assert [s.vertices for s in zero_strong] == [(0, 1, 2), (1, 2, 3)]
@@ -285,7 +287,7 @@ def test_detector_keeps_a_pair_another_label_covers():
     # leaves label 1's, so the triangle is found again and label 1 goes too.
     R = RepresentationMatrix.from_label_sets(3, [[0, 1], [0, 1], [1, 2], [0, 2]])
     member, zero_strong, excluded, _ = find_codd_member(
-        R, _skeleton(R.n, [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]])
+        _skeleton(R.n, [[(0, 1)], [(0, 1)], [(1, 2)], [(0, 2)]]), _strong_labels(R)
     )
     assert member is None
     assert [s.labels for s in zero_strong] == [(0, 2, 3), (1, 2, 3)]
@@ -297,7 +299,8 @@ def test_rematches_keep_the_skeleton_a_rebuild_would_give(monkeypatch):
     # The run edits one skeleton in place.  At every pass it must equal the
     # skeleton rebuilt from the current matchings, which a replica of the
     # run's stream re-draws, and the detector must hand it back as it got
-    # it, weak edges it set aside included.
+    # it, weak edges it set aside included.  Every pass gets the one list
+    # of R's strong labels the run made.
     detect = bipartization.find_codd_member
     seen = Counter()
     cases = [(ModelParams.fixed(20, 60, 0.1), 50, s) for s in range(60)]
@@ -306,13 +309,14 @@ def test_rematches_keep_the_skeleton_a_rebuild_would_give(monkeypatch):
         R = sample_matrix(params, derive_seed(6300, seed))
         replica = derive_rng(derive_seed(6400, seed))
         matchings = [random_maximal_matching(L, replica) for L in R.label_sets]
-        last = []
+        last, strongs = [], []
 
-        def checked(R_, skeleton):
+        def checked(skeleton, strong):
             assert skeleton == _skeleton(R.n, matchings)
+            strongs.append(strong)
             last[:] = matchings
             before = copy.deepcopy(skeleton)
-            member, zero_strong, excluded, coloring = detect(R_, skeleton)
+            member, zero_strong, excluded, coloring = detect(skeleton, strong)
             assert skeleton == before
             pairs = skeleton[0]
             seen["passes"] += 1
@@ -326,6 +330,8 @@ def test_rematches_keep_the_skeleton_a_rebuild_would_give(monkeypatch):
         monkeypatch.setattr(bipartization, "find_codd_member", checked)
         out = weak_bipartization(R, derive_seed(6400, seed), max_rematch=max_rematch)
         assert out.matchings == tuple(last)
+        assert strongs[0] == [size >= STRONG_MIN_SIZE for size in R.sizes.tolist()]
+        assert all(strong is strongs[0] for strong in strongs)
     assert seen["shared_pair_excluded"] > 0, dict(seen)
     assert seen["passes"] > 1000, dict(seen)
 

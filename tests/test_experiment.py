@@ -189,6 +189,14 @@ def test_invalid_specs_rejected(overrides, match):
         make_spec(**overrides)
 
 
+def test_a_summary_linked_to_the_output_names_the_same_file(tmp_path):
+    # The summary would be written through the link, over the CSV.
+    out, link = tmp_path / "out.csv", tmp_path / "summary.json"
+    link.symlink_to(out)
+    with pytest.raises(InputError, match="name the same file"):
+        make_spec(output=str(out), summary=str(link))
+
+
 def test_workers_override_keeps_the_spec_rule():
     with pytest.raises(InputError, match="workers must be >= 0, got -1"):
         run_experiment(make_spec(), workers=-1)
@@ -388,7 +396,7 @@ def fake_pools(monkeypatch):
     """In-process workers on 4 CPUs, with no pool cached.
 
     ``pools`` lists the pools started, each a list of its workers; a worker
-    keeps the shares sent to it and how it was stopped (``stop``'s ``wait``).
+    keeps the shares sent to it and whether it was stopped.
     ``here`` lists the shares the caller ran itself.  A worker runs its
     share when it is asked for the records, passing the spec, the share and
     the records through pickle, as the pipe does (``run`` itself wraps a
@@ -410,7 +418,7 @@ def fake_pools(monkeypatch):
             self.conn = object()
             self.jobs = []
             self.shares = []
-            self.stopped = None
+            self.stopped = False
 
         def send(self, job):
             run, share = job
@@ -421,8 +429,8 @@ def fake_pools(monkeypatch):
             args, share = pickle.loads(self.jobs[-1])
             return pickle.loads(pickle.dumps(run_share(*args, share)))
 
-        def stop(self, *, wait):
-            self.stopped = wait
+        def stop(self):
+            self.stopped = True
 
     monkeypatch.setattr(experiment, "_pool", None)
     monkeypatch.setattr(experiment, "_Worker", InProcessWorker)
@@ -481,9 +489,9 @@ def test_a_pool_of_another_size_replaces_the_cached_one(fake_pools):
     spec = make_spec(trials=6, algorithms=["random"])
     for workers in (2, 2, 3):
         run_experiment(spec, workers=workers)
-    # The idle 1-worker pool is stopped and waited for; the 2-worker one is kept.
+    # The 1-worker pool is stopped when the 2-worker one replaces it.
     stopped = [[worker.stopped for worker in pool] for pool in fake_pools.pools]
-    assert stopped == [[True], [None, None]]
+    assert stopped == [[True], [False, False]]
 
 
 def worker_pids() -> set[int]:
@@ -528,8 +536,8 @@ def test_pool_is_kept_across_calls(monkeypatch):
 def test_pools_of_every_size_reassemble_the_serial_bytes(tmp_path, monkeypatch):
     allow_cpus(monkeypatch, 4)
     serial = grid_bytes_at(tmp_path, 1)
-    # Each size replaces the last pool and waits for its workers, which end
-    # only once every forked copy of their pipes' parent ends is closed.
+    # Each size ends the last pool's workers and waits for them before it
+    # starts its own, so only its own workers are left running.
     with within(60):
         for workers in (4, 3, 2):
             assert grid_bytes_at(tmp_path, workers) == serial
