@@ -5,11 +5,16 @@ The two oracles share one meet-in-the-middle enumeration of the 2^(n-1)
 bipartitions with x_0 fixed to +1 (negating a coloring never changes a cut
 weight or a discrepancy), which stops once a coloring reaches the parity
 floor no coloring can beat, and are capped at a vertex count where a desk
-run still finishes in seconds.  They score on float64 BLAS products of
-small integers, exact below 2^53.  On a shared 2-vCPU host a call took
-0.12 ms (max-cut) and 0.10 ms (min-discrepancy) at n = m = 16, p = 0.2,
-and 61 and 36 ms at n = m = 24, p = 0.3 (medians of 5 and 3 runs over
-200 and 8 matrices).
+run still finishes in seconds.  The floor colorings are the same for both
+oracles, so the second oracle on a matrix whose first walk stopped at the
+floor returns that coloring without walking.  Both score on float64 BLAS
+products of small integers, exact below 2^53.  On a shared 2-vCPU host,
+at n = m = 16, p = 0.2 (200 matrices, 170 of them reaching the floor;
+medians of 11 passes, 4 runs), a call took 0.11 ms (max-cut alone) and
+0.10 ms (min-discrepancy alone), and the pair on one matrix 0.15 ms
+against 0.21 ms when both walk.  At n = m = 24, p = 0.3 (8 matrices, one
+reaching the floor; medians of 3 passes, 2 runs) they took 48-53 and
+31-34 ms, and the pair 76-82 ms.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -46,6 +52,14 @@ ORACLE_TABLE_BYTES = 1 << 28
 # p = 0.3 (8 matrices, median of 3): 2^16 took 94 and 73 ms, 2^17 76 and
 # 42, 2^18 99 and 32.
 _BLOCK_CELLS = 1 << 17
+
+# The last oracle walk's matrix, by weak reference (matrices are
+# unhashable), and its coloring when that walk stopped at the parity floor,
+# else None.  Both oracles' floors pick out the same colorings (checked by
+# tests/test_cuts.py::test_low_discrepancy_instances_tie_norm_and_disc_minimizers),
+# so the other oracle on the same matrix returns that coloring unwalked.
+# A matrix that has been freed cannot match, even a new one at its address.
+_floor_memo: tuple[Optional[weakref.ref], Optional[Coloring]] = (None, None)
 
 
 CUT_ALGORITHMS = ("random", "majority", "exact", "mindisc")
@@ -255,7 +269,7 @@ def _coloring_from_mask(mask: int, n: int) -> Coloring:
     # Bit (n-1-v) encodes x_v (+1 when set), so integer order on masks is
     # lexicographic order on colorings with -1 sorting first.
     bits = (mask >> np.arange(n - 1, -1, -1)) & 1
-    return Coloring(2 * bits - 1)
+    return Coloring._fresh(np.where(bits, np.int8(1), np.int8(-1)))
 
 
 def check_oracle_input(n: int, m: int) -> None:
@@ -318,10 +332,23 @@ def _argmin_over_colorings(
     run in increasing mask order and only a strictly smaller score replaces
     the best, so once the best reaches the floor no later block can replace
     it: the loop stops there and returns the same optimum as the full walk.
+
+    Every label sum (Rx)_l has the parity of |S_l|, so both oracles' floors
+    are met exactly by the set F of colorings that put every odd label's
+    sum at +-1 and every even label's at 0.  When F is not empty it is the
+    set of optima under either score, and both oracles return its
+    lexicographically smallest member.  So a walk that stops at the floor
+    records its coloring in ``_floor_memo``, and the next call on the same
+    matrix, by either oracle, returns it after the input checks without
+    building the tables.
     """
+    global _floor_memo
     n, m = R.n, R.m
     check_oracle_input(n, m)
     stop = floor(_odd_labels(R))
+    held, floor_coloring = _floor_memo
+    if floor_coloring is not None and held() is R:
+        return stop, floor_coloring
     # Row sums and scores are float64 for BLAS, and exact: every entry of
     # A and B is an integer with |.| <= 12 (n <= 24) and |a_l| + |b_l| <=
     # |S_l| <= 24, so every partial sum of a score, in any order and with
@@ -346,7 +373,9 @@ def _argmin_over_colorings(
             best, best_index = int(scores[i, j]), (start + i) * len(B) + first + j
             if best <= stop:
                 break
-    return best, _coloring_from_mask(best_index + (1 << (n - 1)), n)
+    coloring = _coloring_from_mask(best_index + (1 << (n - 1)), n)
+    _floor_memo = (weakref.ref(R), coloring if best <= stop else None)
+    return best, coloring
 
 
 def _odd_labels(R: RepresentationMatrix) -> int:

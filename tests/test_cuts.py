@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -351,6 +353,11 @@ def even_labels_with_weak_odd_cycle(draw, max_n: int = 14, max_m: int = 8):
     return RepresentationMatrix.from_label_sets(n, draw(st.permutations(label_sets)))
 
 
+def copy_of(R: RepresentationMatrix) -> RepresentationMatrix:
+    """An equal matrix that is a distinct object with its own arrays."""
+    return RepresentationMatrix(R.m, R.n, R.indptr.copy(), R.indices.copy())
+
+
 # The module's block size, and blocks of one score each, so that the
 # tie-break between optima in different blocks, within a row of A or
 # across rows, and an optimum that reaches the parity floor only in a later
@@ -373,10 +380,12 @@ def even_labels_with_weak_odd_cycle(draw, max_n: int = 14, max_m: int = 8):
 @example(R=RepresentationMatrix.from_label_sets(5, []))
 def test_brute_force_matches_enumeration_oracle(block_cells, R):
     X, normsq, disc = enumeration_oracle(R)
+    # Each oracle gets its own copy, so each walks rather than reusing the
+    # other's floor coloring.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cuts, "_BLOCK_CELLS", block_cells)
-        result = brute_force_max_cut(R)
-        coloring, best_disc = brute_force_min_discrepancy(R)
+        result = brute_force_max_cut(copy_of(R))
+        coloring, best_disc = brute_force_min_discrepancy(copy_of(R))
 
     assert result.weight == (R.entry_sum() - int(normsq.min())) // 4
     assert cut_weight(R, result.coloring) == result.weight
@@ -388,6 +397,84 @@ def test_brute_force_matches_enumeration_oracle(block_cells, R):
     assert discrepancy(R, coloring) == best_disc
     disc_optima = X[disc == disc.min()]
     assert tuple(coloring.values) == min(map(tuple, disc_optima))
+
+
+def answers(first, second, R):
+    """Both oracles' answers on R, first then second, with the number of
+    half tables the second call built."""
+    one = first(R)
+    built = []
+    with pytest.MonkeyPatch.context() as mp:
+        real = cuts._half_row_sums
+        mp.setattr(cuts, "_half_row_sums", lambda D: built.append(D) or real(D))
+        two = second(R)
+    return one, two, len(built)
+
+
+def same_answer(a, b) -> bool:
+    if isinstance(a, cuts.CutResult):
+        return a.weight == b.weight and a.coloring == b.coloring
+    return a[1] == b[1] and a[0] == b[0]
+
+
+# The second oracle on one matrix reuses the first's coloring when that
+# walk stopped at the parity floor, and walks in full otherwise; either way
+# it answers as it does alone.  The even-label matrices with a weak odd
+# cycle never reach the floor, so nothing is shared on them.
+@pytest.mark.parametrize("order", ["max_cut_first", "min_discrepancy_first"])
+@settings(deadline=None, max_examples=80)
+@given(
+    R=st.one_of(
+        matrices(max_n=12, max_m=8),
+        matrices(max_n=8, max_m=24),
+        even_labels_with_weak_odd_cycle(max_n=12),
+    )
+)
+@example(R=RepresentationMatrix.from_label_sets(6, []))
+@example(R=RepresentationMatrix.from_label_sets(1, [[0], [], [0]]))
+@example(R=RepresentationMatrix.from_label_sets(1, []))
+@example(R=WEAK_TRIANGLE)
+@example(R=TRIANGLE)
+def test_oracles_on_one_matrix_answer_as_on_their_own(order, R):
+    first, second = brute_force_max_cut, brute_force_min_discrepancy
+    if order == "min_discrepancy_first":
+        first, second = second, first
+    alone_first, alone_second = first(copy_of(R)), second(copy_of(R))
+    shared = copy_of(R)
+    one, two, built = answers(first, second, shared)
+    assert same_answer(one, alone_first)
+    assert same_answer(two, alone_second)
+    # At the floor the second call builds no tables; otherwise both halves.
+    _, best_disc = brute_force_min_discrepancy(copy_of(R))
+    at_floor = best_disc == int(cuts._odd_labels(R) > 0)
+    assert built == (0 if at_floor else 2)
+
+
+def test_a_freed_matrix_leaves_no_answer_behind():
+    # The max-cut walk stops at the floor, x_0 != x_1, and is kept.
+    R = RepresentationMatrix.from_label_sets(3, [[0, 1], [2]])
+    assert tuple(brute_force_max_cut(R).coloring.values) == (1, -1, -1)
+    held = weakref.ref(R)
+    del R
+    gc.collect()
+    assert held() is None  # the kept answer does not keep its matrix alive
+    # A new matrix with another optimum, x_1 != x_2, gets its own, by
+    # either oracle.
+    other = RepresentationMatrix.from_label_sets(3, [[1, 2], [0]])
+    coloring, best_disc = brute_force_min_discrepancy(other)
+    assert (tuple(coloring.values), best_disc) == ((1, -1, 1), 1)
+    other = RepresentationMatrix.from_label_sets(3, [[1, 2], [0]])
+    assert tuple(brute_force_max_cut(other).coloring.values) == (1, -1, 1)
+
+
+def test_a_kept_floor_coloring_still_checks_the_input():
+    R = RepresentationMatrix.from_label_sets(4, [[0, 1, 2], [1, 3]])
+    brute_force_max_cut(R)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "ORACLE_TABLE_BYTES", 8)
+        with pytest.raises(InputError, match="^n=4, m=2 needs 96 bytes of oracle tables, "):
+            brute_force_min_discrepancy(R)
+    assert brute_force_min_discrepancy(R)[1] == 1
 
 
 # sha256 of the exact_* and mindisc_* CSV columns of the benchmark's
