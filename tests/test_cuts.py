@@ -399,22 +399,12 @@ def test_brute_force_matches_enumeration_oracle(block_cells, R):
     assert tuple(coloring.values) == min(map(tuple, disc_optima))
 
 
-def answers(first, second, R):
-    """Both oracles' answers on R, first then second, with the number of
-    half tables the second call built."""
-    one = first(R)
-    built = []
-    with pytest.MonkeyPatch.context() as mp:
-        real = cuts._half_row_sums
-        mp.setattr(cuts, "_half_row_sums", lambda D: built.append(D) or real(D))
-        two = second(R)
-    return one, two, len(built)
-
-
-def same_answer(a, b) -> bool:
-    if isinstance(a, cuts.CutResult):
-        return a.weight == b.weight and a.coloring == b.coloring
-    return a[1] == b[1] and a[0] == b[0]
+def outcome(answer) -> tuple[tuple[int, ...], int]:
+    """An oracle's answer as (coloring, weight or discrepancy)."""
+    if isinstance(answer, cuts.CutResult):
+        return tuple(answer.coloring.values.tolist()), answer.weight
+    coloring, best_disc = answer
+    return tuple(coloring.values.tolist()), best_disc
 
 
 # The second oracle on one matrix reuses the first's coloring when that
@@ -439,15 +429,19 @@ def test_oracles_on_one_matrix_answer_as_on_their_own(order, R):
     first, second = brute_force_max_cut, brute_force_min_discrepancy
     if order == "min_discrepancy_first":
         first, second = second, first
-    alone_first, alone_second = first(copy_of(R)), second(copy_of(R))
+    alone = [outcome(first(copy_of(R))), outcome(second(copy_of(R)))]
     shared = copy_of(R)
-    one, two, built = answers(first, second, shared)
-    assert same_answer(one, alone_first)
-    assert same_answer(two, alone_second)
+    one = outcome(first(shared))
+    built = []
+    real = cuts._half_row_sums
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cuts, "_half_row_sums", lambda D: built.append(D) or real(D))
+        two = outcome(second(shared))
+    assert [one, two] == alone
     # At the floor the second call builds no tables; otherwise both halves.
     _, best_disc = brute_force_min_discrepancy(copy_of(R))
     at_floor = best_disc == int(cuts._odd_labels(R) > 0)
-    assert built == (0 if at_floor else 2)
+    assert len(built) == (0 if at_floor else 2)
 
 
 def test_a_freed_matrix_leaves_no_answer_behind():
