@@ -30,7 +30,13 @@ import numpy as np
 
 from . import bipartization, cuts, textio
 from .core import Coloring, InputError, RepresentationMatrix, cut_weight, discrepancy
-from .sampling import ModelParams, _seed_sequence, label_count_for_alpha, sample_matrix
+from .sampling import (
+    ModelParams,
+    _primed_keys,
+    _spawn_states,
+    label_count_for_alpha,
+    sample_matrix,
+)
 
 ALGORITHMS = cuts.CUT_ALGORITHMS + ("bipartize",)
 P_RULES = ("inv_sqrt_nm",)
@@ -255,9 +261,21 @@ def record_to_csv_row(record: TrialRecord) -> str:
     return ",".join(_csv_cell(getattr(record, column)) for column in CSV_COLUMNS)
 
 
+# The algorithms that draw from a trial's stream words 1, 2 and 3; word 0
+# seeds the matrix.
+_SEEDED = ("random", "majority", "bipartize")
+
+
+def _share_streams(seed: int, tasks: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The 4 stream words of each (grid_id, trial) task, as an (R, 4) uint64 array.
+
+    Grid ids and trials are below 2^32.
+    """
+    return _spawn_states(seed, np.array(tasks, dtype=np.uint32), 4)
+
+
 def _trial_streams(seed: int, grid_id: int, trial: int) -> tuple[int, int, int, int]:
-    words = _seed_sequence(seed, grid_id, trial).generate_state(4, np.uint64)
-    return tuple(int(w) for w in words)
+    return tuple(_share_streams(seed, [(grid_id, trial)])[0].tolist())
 
 
 def _audit_coloring(
@@ -270,11 +288,14 @@ def _audit_coloring(
         )
 
 
-def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
+def _run_trial(
+    spec: ExperimentSpec, task: tuple[int, int], streams: Sequence[int]
+) -> TrialRecord:
+    """The record of one task, whose 4 stream words (``_trial_streams``) are ``streams``."""
     grid_id, trial = task
     params = spec.grid[grid_id]
-    matrix_seed, *algo_seeds = _trial_streams(spec.seed, grid_id, trial)
-    seeds = dict(zip(("random", "majority", "bipartize"), algo_seeds))
+    matrix_seed, *algo_seeds = streams
+    seeds = dict(zip(_SEEDED, algo_seeds))
     R = sample_matrix(params, matrix_seed)
     values: dict[str, object] = {}
     wall: dict[str, float] = {}
@@ -324,8 +345,15 @@ def _run_trial(spec: ExperimentSpec, task: tuple[int, int]) -> TrialRecord:
 
 
 def _run_share(spec: ExperimentSpec, share: Sequence[tuple[int, int]]) -> list[TrialRecord]:
-    """The records of ``share``'s tasks, run in turn: one pool share, or a whole serial pass."""
-    return [_run_trial(spec, task) for task in share]
+    """The records of ``share``'s tasks, run in turn: one pool share, or a whole serial pass.
+
+    The share's stream words come from one pass, and so do the Philox keys
+    of the words its trials derive generators from.
+    """
+    streams = _share_streams(spec.seed, share)
+    drawn = [0] + [1 + i for i, algo in enumerate(_SEEDED) if algo in spec.algorithms]
+    with _primed_keys(streams[:, drawn]):
+        return [_run_trial(spec, task, words) for task, words in zip(share, streams.tolist())]
 
 
 class _RemoteTraceback(Exception):

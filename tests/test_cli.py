@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -440,3 +443,14 @@ def test_negative_seed_exits_one_and_names_it(command, matrix_file, capsys):
     }[command]
     assert main([command, *given, "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # numpy.random costs about 10 ms to import, on every command.
+    script = "import sys, wrig_lab.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"

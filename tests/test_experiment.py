@@ -383,6 +383,21 @@ def test_worker_counts_do_not_change_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes() == c.read_bytes()
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 7])
+def test_share_streams_match_seed_sequence(seed):
+    spawn = [0, 1, 2**31, 2**32 - 1]
+    tasks = [(grid_id, trial) for grid_id in spawn for trial in spawn]
+    want = [
+        np.random.SeedSequence(entropy=seed, spawn_key=task).generate_state(4, np.uint64)
+        for task in tasks
+    ]
+    got = experiment._share_streams(seed, tasks)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+    for task, words in zip(tasks, want):
+        assert experiment._trial_streams(seed, *task) == tuple(words.tolist())
+
+
 def allow_cpus(monkeypatch, count: int) -> None:
     """Let this process run on ``count`` CPUs, by both counts the harness reads."""
     monkeypatch.setattr(experiment.os, "cpu_count", lambda: count)
@@ -576,10 +591,10 @@ def test_a_worker_that_dies_mid_pass_fails_the_call(tmp_path, monkeypatch, own_p
     run_experiment(replace(spec, output=str(serial_out)), workers=1)
     run_trial = experiment._run_trial
 
-    def exit_at_trial_3(spec, task):
+    def exit_at_trial_3(spec, task, streams):
         if task == (0, 3):  # in share 1 of 2
             os._exit(3)
-        return run_trial(spec, task)
+        return run_trial(spec, task, streams)
 
     monkeypatch.setattr(experiment, "_run_trial", exit_at_trial_3)
     with within(30), pytest.raises(RuntimeError) as raised:
@@ -608,12 +623,12 @@ def test_a_worker_exception_reaches_the_caller_intact(monkeypatch, own_pool, pic
     serial = list(map(record_to_csv_row, run_experiment(spec, workers=1)[0]))
     run_trial = experiment._run_trial
 
-    def refuse_trial_1(spec, task):
+    def refuse_trial_1(spec, task, streams):
         if task == (0, 1):  # in share 1 of 2
             if picklable:
                 raise ValueError("trial 1 refused")
             raise Unrebuildable("trial 1", "share 1")
-        return run_trial(spec, task)
+        return run_trial(spec, task, streams)
 
     monkeypatch.setattr(experiment, "_run_trial", refuse_trial_1)
     with within(30), pytest.raises(ValueError if picklable else RuntimeError) as raised:
@@ -638,7 +653,7 @@ def test_a_failure_in_the_callers_share_ends_the_busy_worker(tmp_path, monkeypat
     run_trial = experiment._run_trial
     busy = tmp_path / "busy"  # holds the pid of the worker once it is busy
 
-    def refuse_trial_0(spec, task):
+    def refuse_trial_0(spec, task, streams):
         if task == (0, 0):  # the caller's share: fail once the worker is busy
             deadline = time.monotonic() + 30
             while not busy.exists():
@@ -648,7 +663,7 @@ def test_a_failure_in_the_callers_share_ends_the_busy_worker(tmp_path, monkeypat
         if task == (0, 1):  # the worker's share: busy until it is ended
             busy.write_text(str(os.getpid()))
             time.sleep(60)
-        return run_trial(spec, task)
+        return run_trial(spec, task, streams)
 
     monkeypatch.setattr(experiment, "_run_trial", refuse_trial_0)
     busy.write_text("")

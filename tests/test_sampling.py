@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -90,6 +91,67 @@ def test_derived_streams_are_stable_and_distinct():
     assert not np.array_equal(first, other_trial)
     assert not np.array_equal(first, other_seed)
     assert derive_seed(5, 0) == derive_seed(5, 0) != derive_seed(5, 1)
+
+
+@pytest.mark.parametrize(
+    "address, message",
+    [
+        ((5, -1), "stream entries must be >= 0, got -1 in stream (-1,)"),
+        ((5, 0, -2), "stream entries must be >= 0, got -2 in stream (0, -2)"),
+        ((-1, 0), "seed must be >= 0, got -1"),
+    ],
+)
+def test_negative_seeds_and_stream_entries_are_input_errors(address, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        derive_rng(*address)
+
+
+# Seeds of 1, 2, 3 and 5 uint32 words; the last runs the mixing rounds of
+# the entropy words past the pool's 4.
+HASH_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**130 + 7]
+
+
+@pytest.mark.parametrize("seed", HASH_SEEDS)
+def test_seed_states_match_seed_sequence_without_a_spawn_key(seed):
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(1, seed.bit_length()), 32)]
+    want = np.random.SeedSequence(entropy=seed).generate_state(2, np.uint64)
+    for got in (
+        sampling._seed_states([], np.array([words]), 2),
+        sampling._seed_states(words, np.zeros((1, 0)), 2),
+        sampling._spawn_states(seed, np.zeros((1, 0)), 2),
+    ):
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, [want])
+
+
+def test_seed_states_give_the_philox_keys_of_64_bit_words():
+    words = np.random.default_rng(2026).integers(0, 2**64, size=1000, dtype=np.uint64)
+    words[:4] = [0, 1, 2**32 - 1, 2**32]
+    pairs = words.astype("<u8").view("<u4").reshape(-1, 2)
+    want = [np.random.SeedSequence(entropy=w).generate_state(2, np.uint64) for w in words.tolist()]
+    assert np.array_equal(sampling._seed_states([], pairs, 2), want)
+
+
+def test_a_primed_generator_draws_as_an_unprimed_one():
+    words = np.array([0, 1, 2**32, 2**64 - 1, 9_876_543_210_123], dtype=np.uint64)
+    with sampling._primed_keys(words):
+        primed = [derive_rng(w) for w in words.tolist()]
+        assert sampling._primed == {}  # each key is popped on use
+    for w, rng in zip(words.tolist(), primed):
+        assert type(rng.bit_generator.seed_seq).__name__ == "_Key"
+        plain = derive_rng(w)
+        assert isinstance(plain.bit_generator.seed_seq, np.random.SeedSequence)
+        assert np.array_equal(rng.integers(0, 2, size=1000), plain.integers(0, 2, size=1000))
+        assert np.array_equal(rng.random(1000), plain.random(1000))
+
+
+def test_primed_keys_are_dropped_when_the_block_ends():
+    with pytest.raises(RuntimeError, match="^stop$"):
+        with sampling._primed_keys(np.array([[3, 4]], dtype=np.uint64)):
+            assert sorted(sampling._primed) == [3, 4]
+            raise RuntimeError("stop")
+    assert sampling._primed == {}
+    assert isinstance(derive_rng(3).bit_generator.seed_seq, np.random.SeedSequence)
 
 
 def test_entry_marginal_frequency():
